@@ -143,6 +143,7 @@ class CacheHierarchy:
         "_sf_sets",
         "_sf_nsets",
         "_batching",
+        "_spare_entry",
     )
 
     def __init__(
@@ -190,6 +191,9 @@ class CacheHierarchy:
         self._sf_sets = self.sf._sets
         self._sf_nsets = self.sf.sets
         self._batching = batch.enabled()
+        self._spare_entry: Optional[DirectoryEntry] = None
+        # A directory entry the last MLC eviction freed, reused by the
+        # next fill that needs a new one (see _fill_mlc).
 
     def set_batching(self, enabled: bool) -> None:
         """Toggle batched dispatch for this hierarchy (parity tests and the
@@ -230,9 +234,12 @@ class CacheHierarchy:
 
         llc = self.llc
         mlc = self.mlcs[core]
-        mlc_line = mlc._sets[addr % mlc.sets].get(addr)
+        bucket = mlc._sets[addr % mlc.sets]
+        mlc_line = bucket.get(addr)
         if mlc_line is not None:
             mlc_line.lru = next(mlc._tick)
+            del bucket[addr]
+            bucket[addr] = mlc_line
             counters.mlc_hits += 1
             if write:
                 mlc_line.dirty = True
@@ -244,7 +251,8 @@ class CacheHierarchy:
             return self._mlc_hit_cycles
 
         counters.mlc_misses += 1
-        llc_line = self._llc_sets[addr % self._llc_nsets].index.get(addr)
+        wayset = self._llc_sets[addr % self._llc_nsets]
+        llc_line = wayset.index.get(addr)
         if llc_line is not None:
             lru_tick = self._llc_lru_tick
             if lru_tick is not None:
@@ -275,8 +283,46 @@ class CacheHierarchy:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
                 # as an LLC-inclusive line must migrate into the inclusive
-                # ways (Yan et al.) — the paper's directory contention.
-                self._make_inclusive(now, llc_line)
+                # ways (Yan et al.) — the paper's directory contention —
+                # unless disabled for ablation.
+                migrate = (
+                    self._inclusive_migration
+                    and llc_line.way not in self._inclusive_ways
+                )
+                if migrate and lru_tick is None:
+                    self._make_inclusive(now, llc_line)
+                elif migrate:
+                    # Inlined LastLevelCache.migrate_to_inclusive (LRU fast
+                    # path): the line keeps its index entry, only its slot
+                    # and way change.
+                    slots = wayset.slots
+                    way = -1
+                    best_lru = None
+                    for cand in self._inclusive_ways:
+                        resident = slots[cand]
+                        if resident is None:
+                            way = cand
+                            break
+                        if best_lru is None or resident.lru < best_lru:
+                            way, best_lru = cand, resident.lru
+                    if way < 0:
+                        raise ValueError("no candidate ways for victim selection")
+                    victim = slots[way]
+                    if victim is not None:
+                        del wayset.index[victim.addr]
+                    slots[llc_line.way] = None
+                    llc_line.lru = next(lru_tick)
+                    llc_line.way = way
+                    slots[way] = llc_line
+                    lstream = llc_line.stream
+                    lcounters = self._scounters.get(lstream)
+                    if lcounters is None:
+                        lcounters = self._scounters[lstream] = (
+                            self.counters.stream(lstream)
+                        )
+                    lcounters.migrations += 1
+                    if victim is not None:
+                        self._dispose_victim(now, victim)
                 self._fill_mlc(
                     now, core, addr, stream, dirty=False, io=True,
                     llc_line=llc_line,
@@ -390,6 +436,8 @@ class CacheHierarchy:
             count = 0
             while True:
                 line.lru = next(mtick)
+                del bucket[addr]
+                bucket[addr] = line
                 count += 1
                 i += 1
                 if i >= n:
@@ -429,24 +477,18 @@ class CacheHierarchy:
         bindings out of the per-line loop (NIC packets and NVMe transfers
         always write multi-line bursts).
         """
+        batched = self._batching and lines >= batch.MIN_BURST
+        if batched and not allocating:
+            self._memory_flow_batched(now, ((base_addr, lines, stream),))
+            return
         counters = self._scounters.get(stream)
         if counters is None:
             counters = self._scounters[stream] = self.counters.stream(stream)
         counters.dma_writes += lines
-
-        if (
-            self._batching
-            and lines >= batch.MIN_BURST
-            and (
-                not allocating
-                or (self._llc_lru_tick is not None and self._ddio_write_update)
-            )
-        ):
+        if batched and self._llc_lru_tick is not None and self._ddio_write_update:
             # Batched dispatch covers the two uniform flows; the ablation
             # (write-update off) and non-LRU policies keep scalar dispatch.
-            self._dma_write_burst_batched(
-                now, base_addr, lines, stream, allocating, counters
-            )
+            self._dma_write_burst_batched(now, base_addr, lines, stream, counters)
             return
 
         sf_sets = self._sf_sets
@@ -553,10 +595,10 @@ class CacheHierarchy:
         base_addr: int,
         lines: int,
         stream: str,
-        allocating: bool,
         counters,
     ) -> None:
-        """Batch twin of the scalar burst loop (bit-identical by design).
+        """Batch twin of the scalar allocating burst loop (bit-identical by
+        design).
 
         Parity rests on three invariants, each checked by the randomized
         property tests:
@@ -596,21 +638,7 @@ class CacheHierarchy:
                 if sf_nsets == llc_nsets
                 else [a % sf_nsets for a in range(base_addr, end)]
             )
-        llc = self.llc
-
-        if not allocating:
-            for offset, addr in enumerate(range(base_addr, end)):
-                if sf_sets[sf_idx[offset]].get(addr) is not None:
-                    self._invalidate_peers(now, addr, keep_core=None, silent=True)
-                llc_line = llc_sets[llc_idx[offset]].index.get(addr)
-                if llc_line is not None:
-                    # Stale copy invalidated without write-back.
-                    llc_line.holders.clear()
-                    llc.remove(llc_line)
-            self.memory.write(now, lines, stream)
-            return
-
-        dca_ways = llc.dca_ways
+        dca_ways = self.llc.dca_ways
         lru_tick = self._llc_lru_tick
         ticks = list(islice(lru_tick, lines))
         n_updates = 0
@@ -650,14 +678,9 @@ class CacheHierarchy:
             victim = slots[way]
             if victim is not None:
                 del index[victim.addr]
-            line = LlcLine(addr, stream, way, True, True, False)
-            line.lru = ticks[offset]
-            slots[way] = line
-            index[addr] = line
-            if victim is not None:
-                if victim.holders:
-                    self._dispose_victim(now, victim)
-                else:
+                if not victim.holders:
+                    # A victim no MLC holds is referenced nowhere else:
+                    # account for it, then reuse its record as the new line.
                     acc = evictions.get(victim.stream)
                     if acc is None:
                         acc = evictions[victim.stream] = [0, 0, 0]
@@ -666,6 +689,20 @@ class CacheHierarchy:
                         acc[1] += 1
                     if victim.dirty:
                         acc[2] += 1
+                    victim.addr = addr
+                    victim.stream = stream
+                    victim.dirty = True
+                    victim.io = True
+                    victim.consumed = False
+                    victim.lru = ticks[offset]
+                    index[addr] = victim
+                    continue
+            line = LlcLine(addr, stream, way, True, True, False)
+            line.lru = ticks[offset]
+            slots[way] = line
+            index[addr] = line
+            if victim is not None:
+                self._dispose_victim(now, victim)
         counters.ddio_updates += n_updates
         counters.ddio_allocates += n_allocates
         scounters = self._scounters
@@ -689,9 +726,51 @@ class CacheHierarchy:
         issued at the same timestamp; equivalent to one
         :meth:`dma_write_burst` per span, in order.  Devices that fan one
         service quantum across many buffers (the NVMe transfer engine) use
-        this to keep each span on the batched path."""
+        this to keep each span on the batched path.
+
+        With batching on, a non-allocating quantum goes through the memory
+        flow in one pass, whatever its span lengths (the ``MIN_BURST``
+        floor applies per call, and one call covers every span here)."""
+        if self._batching and not allocating:
+            self._memory_flow_batched(now, spans)
+            return
         for base_addr, lines, stream in spans:
             self.dma_write_burst(now, base_addr, lines, stream, allocating)
+
+    def _memory_flow_batched(
+        self, now: float, spans: Sequence[Tuple[int, int, str]]
+    ) -> None:
+        """Non-allocating (DCA-off) writes of ``spans`` in one pass: every
+        written line invalidates its cached copies without write-back, then
+        one ``memory.write`` per stream, in first-encounter order, carries
+        the summed lines.  Exact because at a fixed ``now`` the memory
+        controller's utilisation window rolls at most once, on the first
+        write."""
+        sf_sets = self._sf_sets
+        sf_nsets = self._sf_nsets
+        llc_sets = self._llc_sets
+        llc_nsets = self._llc_nsets
+        llc = self.llc
+        scounters = self._scounters
+        written: dict[str, int] = {}
+        for base_addr, lines, stream in spans:
+            counters = scounters.get(stream)
+            if counters is None:
+                counters = scounters[stream] = self.counters.stream(stream)
+            counters.dma_writes += lines
+            if lines > 0:
+                written[stream] = written.get(stream, 0) + lines
+            for addr in range(base_addr, base_addr + lines):
+                if sf_sets[addr % sf_nsets].get(addr) is not None:
+                    self._invalidate_peers(now, addr, keep_core=None, silent=True)
+                llc_line = llc_sets[addr % llc_nsets].index.get(addr)
+                if llc_line is not None:
+                    # Stale copy invalidated without write-back.
+                    llc_line.holders.clear()
+                    llc.remove(llc_line)
+        memory_write = self.memory.write
+        for stream, lines in written.items():
+            memory_write(now, lines, stream)
 
     def dma_read(self, now: float, addr: int, stream: str) -> None:
         """Outbound device read of one line (egress path)."""
@@ -732,44 +811,11 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def _make_inclusive(self, now: float, llc_line: LlcLine) -> None:
-        """A read is about to put ``llc_line`` into an MLC as well: enforce
-        the shared-directory placement constraint (migrate into the
-        inclusive ways), unless disabled for ablation."""
-        if not self._inclusive_migration:
-            return
-        if llc_line.way in self._inclusive_ways:
-            return
-        llc = self.llc
-        lru_tick = self._llc_lru_tick
-        if lru_tick is not None:
-            # Inlined LastLevelCache.migrate_to_inclusive (LRU fast path).
-            wayset = llc._sets[llc_line.addr % llc._nsets]
-            slots = wayset.slots
-            way = -1
-            best_lru = None
-            for cand in self._inclusive_ways:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-            victim = slots[way]
-            if victim is not None:
-                del wayset.index[victim.addr]
-            slots[llc_line.way] = None
-            llc_line.lru = next(lru_tick)
-            llc_line.way = way
-            slots[way] = llc_line
-        else:
-            victim = llc.migrate_to_inclusive(llc_line)
-        stream = llc_line.stream
-        counters = self._scounters.get(stream)
-        if counters is None:
-            counters = self._scounters[stream] = self.counters.stream(stream)
-        counters.migrations += 1
+        """Migrate ``llc_line`` into the inclusive ways through the
+        replacement-policy object (non-LRU policies; :meth:`cpu_access`
+        inlines the LRU case and decides whether a migration is due)."""
+        victim = self.llc.migrate_to_inclusive(llc_line)
+        self._stream(llc_line.stream).migrations += 1
         if victim is not None:
             self._dispose_victim(now, victim)
 
@@ -783,30 +829,49 @@ class CacheHierarchy:
         io: bool,
         llc_line: Optional[LlcLine] = None,
     ) -> None:
-        """Install ``addr`` into ``core``'s MLC and track it in the extended
-        directory.  ``llc_line`` is the line's current LLC copy — callers
-        always know it (most paths just removed it or verified a miss), so
-        passing it here saves a redundant LLC lookup per fill."""
+        """Install ``addr`` into ``core``'s MLC, track it in the extended
+        directory, and push the MLC's victim (if any) down into the LLC.
+
+        ``llc_line`` is the line's current LLC copy — callers always know
+        it (most paths just removed it or verified a miss), so passing it
+        here saves a redundant LLC lookup per fill.
+
+        Victim-cache behaviour: an evicted MLC line allocates into the LLC
+        within the evicting core's CAT mask (unless already resident).
+        Nearly every CPU access of an I/O-heavy mix lands here, so dead
+        records are recycled rather than rebuilt: the MLC victim's record
+        becomes the new MLC line once its fields are read, a directory
+        entry freed by the eviction is kept in one spare slot for the next
+        fill, and on the LRU fast path an LLC victim with no holders (hence
+        unreferenced, with empty policy metadata) becomes the new LLC line.
+        """
         mlc = self.mlcs[core]
         bucket = mlc._sets[addr % mlc.sets]
         if addr in bucket:
             raise ValueError(f"addr {addr:#x} already resident")
-        victim = None
         if len(bucket) >= mlc.ways:
+            # MLC sets are kept in recency order: the first key is LRU.
+            victim_addr = next(iter(bucket))
+            line = bucket.pop(victim_addr)
+            vstream = line.stream
+            vdirty = line.dirty
+            vio = line.io
+            line.addr = addr
+            line.stream = stream
+            line.dirty = dirty
+            line.io = io
+        else:
             victim_addr = None
-            victim_lru = None
-            for cand_addr, resident in bucket.items():
-                if victim_lru is None or resident.lru < victim_lru:
-                    victim_addr, victim_lru = cand_addr, resident.lru
-            victim = bucket.pop(victim_addr)
-        line = MlcLine(addr=addr, stream=stream, dirty=dirty, io=io)
+            line = MlcLine(addr, stream, dirty, io)
         line.lru = next(mlc._tick)
         bucket[addr] = line
         # Inlined SnoopFilter.track: a fresh MLC holder is the common case
         # (buffers are per-core), so build the entry here; an existing
         # entry just gains a holder.
         sf = self.sf
-        sf_bucket = self._sf_sets[addr % self._sf_nsets]
+        sf_sets = self._sf_sets
+        sf_nsets = self._sf_nsets
+        sf_bucket = sf_sets[addr % sf_nsets]
         entry = sf_bucket.get(addr)
         if entry is None:
             evicted_entry = None
@@ -814,9 +879,18 @@ class CacheHierarchy:
                 evicted_entry = sf._choose_victim(sf_bucket)
                 del sf_bucket[evicted_entry.addr]
                 sf.back_invalidations += 1
-            sf_bucket[addr] = DirectoryEntry(
-                addr, {core}, llc_line is not None, next(sf._tick)
-            )
+            entry = self._spare_entry
+            if entry is None:
+                entry = DirectoryEntry(
+                    addr, {core}, llc_line is not None, next(sf._tick)
+                )
+            else:
+                self._spare_entry = None
+                entry.addr = addr
+                entry.holders.add(core)
+                entry.inclusive = llc_line is not None
+                entry.lru = next(sf._tick)
+            sf_bucket[addr] = entry
             if evicted_entry is not None:
                 self._back_invalidate(now, evicted_entry)
         else:
@@ -826,109 +900,109 @@ class CacheHierarchy:
             entry.lru = next(sf._tick)
         if llc_line is not None:
             llc_line.holders.add(core)
-        if victim is not None:
-            self._handle_mlc_eviction(now, core, victim)
+        if victim_addr is None:
+            return
 
-    def _handle_mlc_eviction(self, now: float, core: int, mlc_line: MlcLine) -> None:
-        """Victim-cache behaviour: an evicted MLC line allocates into the LLC
-        within the evicting core's CAT mask (unless already resident)."""
-        addr = mlc_line.addr
-        # Inlined SnoopFilter.drop_holder; ``entry`` stays valid for the
-        # peer-holder check below (empty entries are deleted here).
-        sf_bucket = self._sf_sets[addr % self._sf_nsets]
+        # The MLC victim leaves (``addr`` names it from here on): inlined
+        # SnoopFilter.drop_holder, keeping ``entry`` for the peer-holder
+        # check below.
+        addr = victim_addr
+        sf_bucket = sf_sets[addr % sf_nsets]
         entry = sf_bucket.get(addr)
         if entry is not None:
             entry.holders.discard(core)
             if not entry.holders:
                 del sf_bucket[addr]
+                self._spare_entry = entry
                 entry = None
         wayset = self._llc_sets[addr % self._llc_nsets]
-        llc_line = wayset.index.get(addr)
+        index = wayset.index
+        llc_line = index.get(addr)
         if llc_line is not None:
             llc_line.holders.discard(core)
             if not llc_line.holders and entry is not None:
                 entry.inclusive = False
             # Was inclusive: the LLC copy absorbs the eviction.
-            llc_line.dirty = llc_line.dirty or mlc_line.dirty
+            llc_line.dirty = llc_line.dirty or vdirty
             return
 
         if entry is not None and entry.holders:
             # A peer MLC still holds the line: silent drop of this copy.
-            if mlc_line.dirty:
+            if vdirty:
                 peer = next(iter(entry.holders))
                 peer_line = self.mlcs[peer].peek(addr)
                 if peer_line is not None:
                     peer_line.dirty = True
             return
 
-        if mlc_line.io and self._self_invalidate_consumed:
+        if vio and self._self_invalidate_consumed:
             # IDIO/Sweeper baseline: consumed I/O lines never bloat the LLC.
-            if mlc_line.dirty:
-                self.memory.write(now, 1, mlc_line.stream)
+            if vdirty:
+                self.memory.write(now, 1, vstream)
             return
 
-        stream = mlc_line.stream
-        counters = self._scounters.get(stream)
+        scounters = self._scounters
+        counters = scounters.get(vstream)
         if counters is None:
-            counters = self._scounters[stream] = self.counters.stream(stream)
+            counters = scounters[vstream] = self.counters.stream(vstream)
         counters.llc_fills += 1
-        io = mlc_line.io
-        if io:
+        if vio:
             counters.dma_bloats += 1
         cat = self.cat
         allowed = cat._masks[cat._core_clos.get(core, 0)]
         lru_tick = self._llc_lru_tick
-        if lru_tick is not None:
-            # Inlined LastLevelCache.allocate (LRU fast path); the lookup
-            # above proved ``addr`` is not resident, and ``wayset`` is
-            # reused from it.  An I/O line that reached an MLC counts as
-            # consumed.
-            slots = wayset.slots
-            way = -1
-            best_lru = None
-            for cand in allowed:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-            victim = slots[way]
-            index = wayset.index
-            if victim is not None:
-                del index[victim.addr]
-            line = LlcLine(addr, stream, way, mlc_line.dirty, io, io)
-            line.lru = next(lru_tick)
-            slots[way] = line
-            index[addr] = line
-        else:
+        if lru_tick is None:
+            # An I/O line that reached an MLC counts as consumed.
             _, victim = self.llc.allocate(
-                addr,
-                stream,
-                allowed,
-                dirty=mlc_line.dirty,
-                io=io,
-                consumed=io,
+                addr, vstream, allowed, dirty=vdirty, io=vio, consumed=vio
             )
-        if victim is not None:
-            if victim.holders:
+            if victim is not None:
                 self._dispose_victim(now, victim)
-            else:
+            return
+        # Inlined LastLevelCache.allocate (LRU fast path); the lookup above
+        # proved ``addr`` is not resident, and ``wayset`` is reused from it.
+        slots = wayset.slots
+        way = -1
+        best_lru = None
+        for cand in allowed:
+            resident = slots[cand]
+            if resident is None:
+                way = cand
+                break
+            if best_lru is None or resident.lru < best_lru:
+                way, best_lru = cand, resident.lru
+        if way < 0:
+            raise ValueError("no candidate ways for victim selection")
+        victim = slots[way]
+        if victim is not None:
+            del index[victim.addr]
+            if not victim.holders:
                 # Inlined _dispose_victim, no-holders case (the common one
-                # for standard-way victims).
-                vstream = victim.stream
-                vcounters = self._scounters.get(vstream)
-                if vcounters is None:
-                    vcounters = self._scounters[vstream] = (
-                        self.counters.stream(vstream)
-                    )
-                vcounters.llc_evictions_suffered += 1
+                # for standard-way victims); the dead record then becomes
+                # the new line.
+                estream = victim.stream
+                ecounters = scounters.get(estream)
+                if ecounters is None:
+                    ecounters = scounters[estream] = self.counters.stream(estream)
+                ecounters.llc_evictions_suffered += 1
                 if victim.io and not victim.consumed:
-                    vcounters.dma_leaks += 1
+                    ecounters.dma_leaks += 1
                 if victim.dirty:
-                    self.memory.write(now, 1, vstream)
+                    self.memory.write(now, 1, estream)
+                victim.addr = addr
+                victim.stream = vstream
+                victim.dirty = vdirty
+                victim.io = vio
+                victim.consumed = vio
+                victim.lru = next(lru_tick)
+                index[addr] = victim
+                return
+        line = LlcLine(addr, vstream, way, vdirty, vio, vio)
+        line.lru = next(lru_tick)
+        slots[way] = line
+        index[addr] = line
+        if victim is not None:
+            self._dispose_victim(now, victim)
 
     def _dispose_victim(self, now: float, victim: LlcLine) -> None:
         """Account for an LLC line displaced by a fill or migration."""

@@ -3,6 +3,11 @@
 Plain set-associative LRU.  In the non-inclusive hierarchy modelled here the
 MLC is where demand fills land first; its evictions are what the paper calls
 *DMA bloat* when they carry consumed I/O data back into the LLC.
+
+Each set is a dict kept in recency order: every recency tick (a fill or a
+hit) also moves the line to the end of its set, so the first key is always
+the line with the smallest ``lru`` and picking a victim needs no scan.  Any
+code that stamps a line's ``lru`` must move it to the end as well.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ class MidLevelCache:
         return self._sets[addr % self.sets]
 
     def lookup(self, addr: int) -> Optional[MlcLine]:
-        line = self._sets[addr % self.sets].get(addr)
+        bucket = self._sets[addr % self.sets]
+        line = bucket.get(addr)
         if line is not None:
             line.lru = next(self._tick)
+            del bucket[addr]
+            bucket[addr] = line
         return line
 
     def peek(self, addr: int) -> Optional[MlcLine]:
@@ -57,12 +65,7 @@ class MidLevelCache:
             raise ValueError(f"addr {line.addr:#x} already resident")
         victim = None
         if len(bucket) >= self.ways:
-            victim_addr = None
-            victim_lru = None
-            for addr, resident in bucket.items():
-                if victim_lru is None or resident.lru < victim_lru:
-                    victim_addr, victim_lru = addr, resident.lru
-            victim = bucket.pop(victim_addr)
+            victim = bucket.pop(next(iter(bucket)))
         line.lru = next(self._tick)
         bucket[line.addr] = line
         return victim

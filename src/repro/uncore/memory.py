@@ -83,11 +83,6 @@ class MemoryController:
             self._roll_window(now)
         self._window_lines += lines
 
-    def _account(self, now: float, lines: int) -> None:
-        if now - self._window_start >= self.window:
-            self._roll_window(now)
-        self._window_lines += lines
-
     def time_shift(self, delta: float) -> None:
         """Shift the utilisation window's anchor with the clock (interval
         sampling); keeps the decayed estimate intact across a skip instead

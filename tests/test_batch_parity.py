@@ -10,7 +10,9 @@ boundaries the batched path must flush around: DCA-way reprogramming,
 CLOS mask rewrites, non-allocating flows, and the write-update ablation.
 
 Coverage spans all three platform presets and, at the end, a full server
-run with fault injection enabled.
+run with fault injection enabled.  After every operation both hierarchies
+also pass :func:`check_invariants`, which catches, among other things, a
+reused line or directory record left reachable from two places.
 """
 
 import random
@@ -33,7 +35,7 @@ PLATFORMS = {
 }
 
 
-def build_hierarchy(spec, **cfg_overrides):
+def build_hierarchy(spec, llc_overrides=None, **cfg_overrides):
     bank = CounterBank()
     cat = CacheAllocation(ways=spec.llc_ways)
     memory = MemoryController.for_platform(bank, spec)
@@ -44,6 +46,7 @@ def build_hierarchy(spec, **cfg_overrides):
         ways=llc.ways,
         dca_ways=llc.dca_ways,
         inclusive_ways=llc.inclusive_ways,
+        **(llc_overrides or {}),
     )
     cfg = HierarchyConfig(
         cores=2, platform=spec, llc=llc, mlc_sets=4, mlc_ways=2,
@@ -114,6 +117,56 @@ def full_state(hierarchy, bank):
     }
 
 
+def check_invariants(hierarchy):
+    """Structural invariants that must hold between any two operations.
+
+    Every LLC line sits in the slot its ``way`` names and is indexed under
+    its own address; every MLC and snoop-filter record is keyed by its own
+    address; each MLC set iterates in recency order; and no record (or
+    holder set) is reachable from two places — the failure mode of reusing
+    an evicted record that is still referenced.
+    """
+    seen = set()
+
+    def once(obj, where):
+        assert id(obj) not in seen, f"{where}: record reachable twice"
+        seen.add(id(obj))
+
+    for wayset in hierarchy.llc._sets:
+        slots, index = wayset.slots, wayset.index
+        assert len(index) == sum(line is not None for line in slots)
+        for way, line in enumerate(slots):
+            if line is None:
+                continue
+            assert line.way == way
+            assert index[line.addr] is slots[line.way]
+            once(line, f"llc {line.addr:#x}")
+            once(line.holders, f"llc {line.addr:#x} holders")
+    for mlc in hierarchy.mlcs:
+        for bucket in mlc._sets:
+            for addr, line in bucket.items():
+                assert addr == line.addr
+                once(line, f"mlc{mlc.core_id} {addr:#x}")
+            # Sets are kept in recency order (the first key is the victim).
+            lrus = [line.lru for line in bucket.values()]
+            assert lrus == sorted(lrus)
+    for bucket in hierarchy.sf._sets:
+        for addr, entry in bucket.items():
+            assert addr == entry.addr
+            assert entry.holders, f"sf {addr:#x} has no holders"
+            once(entry, f"sf {addr:#x}")
+            once(entry.holders, f"sf {addr:#x} holders")
+
+
+def nvme_spans(rng):
+    """One NVMe service quantum: many one-line spans at one timestamp,
+    mostly from one stream (several commands of the same FIO job)."""
+    return [
+        (rng.randrange(256), 1, "fio" if rng.random() < 0.8 else "dev1")
+        for _ in range(rng.randrange(8, 23))
+    ]
+
+
 def make_ops(rng, nops=400):
     """A randomized interleaved DMA/CPU stream with reconfig boundaries."""
     ops = []
@@ -121,16 +174,19 @@ def make_ops(rng, nops=400):
         roll = rng.random()
         core = rng.randrange(2)
         addr = rng.randrange(256)
-        if roll < 0.22:
+        if roll < 0.20:
             ops.append(("burst", addr, rng.randrange(1, 40), True))
-        elif roll < 0.32:
+        elif roll < 0.28:
             ops.append(("burst", addr, rng.randrange(1, 40), False))
-        elif roll < 0.40:
+        elif roll < 0.34:
             spans = [
                 (rng.randrange(256), rng.randrange(1, 24), f"dev{d}")
                 for d in range(rng.randrange(1, 4))
             ]
             ops.append(("multi", spans, rng.random() < 0.8))
+        elif roll < 0.40:
+            # NVMe-shaped quantum: mostly the non-allocating memory flow.
+            ops.append(("multi", nvme_spans(rng), rng.random() < 0.2))
         elif roll < 0.55:
             run = [rng.randrange(256) for _ in range(rng.randrange(1, 48))]
             ops.append(("run", core, run, rng.random() < 0.3))
@@ -183,11 +239,12 @@ def apply_ops(hierarchy, cat, ops):
             _, clos, first, last = op
             cat.set_mask(clos, range(first, last + 1))
             cat.associate(0, clos)
+        check_invariants(hierarchy)
     return total
 
 
-def run_once(spec, ops, batching, **cfg_overrides):
-    hierarchy, bank, cat = build_hierarchy(spec, **cfg_overrides)
+def run_once(spec, ops, batching, llc_overrides=None, **cfg_overrides):
+    hierarchy, bank, cat = build_hierarchy(spec, llc_overrides, **cfg_overrides)
     hierarchy.set_batching(batching)
     total = apply_ops(hierarchy, cat, ops)
     return full_state(hierarchy, bank), total
@@ -218,6 +275,17 @@ def test_parity_under_write_update_ablation(seed):
     batched_state, _ = run_once(
         SKYLAKE_SP, ops, batching=True, ddio_write_update=False
     )
+    assert batched_state == scalar_state
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_parity_without_inclusive_migration(seed):
+    """Without migration, CPU-read I/O lines keep holders inside the DCA
+    ways, so batched DMA allocations meet inclusive victims."""
+    ops = make_ops(random.Random(seed), nops=250)
+    no_migration = {"inclusive_migration": False}
+    scalar_state, _ = run_once(SKYLAKE_SP, ops, False, no_migration)
+    batched_state, _ = run_once(SKYLAKE_SP, ops, True, no_migration)
     assert batched_state == scalar_state
 
 
