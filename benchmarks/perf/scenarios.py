@@ -28,11 +28,9 @@ Registered benchmarks:
 * ``multi_tenant``          — the seeded 6-tenant SLO scenario under the
   A4 scheme: generator + phased traffic + per-request latency recording
   + SLO evaluation, the whole tenancy path end to end;
-* ``trace_overhead``        — the canonical run with observability off,
-  with in-process tracing, and with the full service-worker setup
-  (context + spooling sink + progress events); asserts the epoch
-  samples are identical all three ways (tracing-off parity) and records
-  the spooled overhead.
+* ``trace_overhead``        — the canonical run with observability off
+  and with in-process tracing; asserts the epoch samples are identical
+  both ways (tracing-off parity) and records the traced wall time.
 """
 
 from __future__ import annotations
@@ -346,17 +344,14 @@ def bench_sampled_long_horizon(quick: bool) -> Dict[str, float]:
 
 
 def bench_trace_overhead(quick: bool) -> Dict[str, float]:
-    """Tracing-off parity and the cost of the full cross-process layer.
+    """Tracing-off parity and the cost of in-process tracing.
 
-    Runs the canonical scenario three ways — observability disabled,
-    plain in-process tracing, and tracing with a context plus a spooling
-    :class:`~repro.obsv.spool.TraceSink` (the service-worker
-    configuration, including per-epoch progress events) — and asserts the
-    epoch samples are identical across all three: the layer observes the
-    simulation, it never perturbs it.  ``wall_s`` (the gated number) is
-    the tracing-off run; the spooled overhead is recorded alongside."""
+    Runs the canonical scenario twice — observability disabled, then
+    in-process tracing — and asserts the epoch samples are identical: the
+    layer observes the simulation, it never perturbs it.  ``wall_s`` (the
+    gated number) is the tracing-off run; the traced wall time is recorded
+    alongside."""
     from repro import obsv
-    from repro.obsv.spool import TraceSink
 
     epochs = 4 if quick else 8
 
@@ -371,31 +366,11 @@ def bench_trace_overhead(quick: bool) -> Dict[str, float]:
 
     obsv.enable()
     try:
-        _, traced, traced_wall = one_run()
+        server, traced, traced_wall = one_run()
     finally:
         obsv.disable()
     assert traced.samples == baseline.samples, (
         "in-process tracing perturbed the simulation"
-    )
-
-    spool_dir = tempfile.mkdtemp(prefix="repro-bench-spool-")
-    try:
-        sink = TraceSink(Path(spool_dir))
-        obsv.enable(
-            context=obsv.TraceContext(run_id="bench", job_id=1, attempt=1),
-            sink=sink,
-        )
-        server, spooled, spooled_wall = one_run()
-        sink.close()
-        progress_events = len(obsv.TRACER.by_kind(obsv.KIND_PROGRESS))
-    finally:
-        obsv.disable()
-        shutil.rmtree(spool_dir, ignore_errors=True)
-    assert spooled.samples == baseline.samples, (
-        "spooled tracing perturbed the simulation"
-    )
-    assert progress_events == epochs, (
-        f"expected one progress event per epoch, got {progress_events}"
     )
 
     events = server.sim.events_executed
@@ -405,10 +380,6 @@ def bench_trace_overhead(quick: bool) -> Dict[str, float]:
         "events_per_s": events / off_wall if off_wall else 0.0,
         "epochs": epochs,
         "traced_wall_s": traced_wall,
-        "spooled_wall_s": spooled_wall,
-        "spooled_overhead_pct": (
-            100.0 * (spooled_wall - off_wall) / off_wall if off_wall else 0.0
-        ),
     }
 
 

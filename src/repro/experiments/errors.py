@@ -17,38 +17,6 @@ from __future__ import annotations
 CATEGORY_POOL = "pool"
 """A worker pool broke underneath a dispatch (dead worker, OOM kill)."""
 
-CATEGORY_WORKER_DEATH = "worker-death"
-"""A job-service worker process died without recording a failure
-(SIGKILL, OOM, segfault) — synthesized by the supervisor, not raised."""
-
-CATEGORY_STALLED = "stalled"
-"""A job-service worker stopped heartbeating and was killed by the
-supervisor — synthesized by the supervisor, not raised."""
-
-CATEGORY_CORRUPT = "corrupt"
-"""A persisted job row failed validation (unreadable spec JSON); the
-job cannot be executed, let alone retried."""
-
-FAIL_FAST_CATEGORIES = frozenset({"config", "figure", CATEGORY_CORRUPT})
-"""Categories the retry layer never retries: re-running an invalid
-configuration, a shape bug, or an unreadable spec yields the same
-failure, only later.  Everything else is presumed transient."""
-
-RETRYABLE_CATEGORIES = frozenset(
-    {
-        "experiment",
-        "resources",
-        "allocation",
-        "runtime",
-        CATEGORY_POOL,
-        CATEGORY_WORKER_DEATH,
-        CATEGORY_STALLED,
-    }
-)
-"""The complement of :data:`FAIL_FAST_CATEGORIES` over the known
-taxonomy (documentation + test lock; the retry policy only checks
-membership in ``fail_fast``)."""
-
 
 class ExperimentError(Exception):
     """Base class for all experiment-layer failures."""

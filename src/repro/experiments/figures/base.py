@@ -23,9 +23,8 @@ DEFAULT_WARMUP = 2
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 """Ambient checkpoint directory (the CLI's ``--checkpoint-dir`` exports
-it so process-pool workers inherit the setting; the job-service worker
-exports its per-job namespace); an explicit ``checkpoint_dir`` argument
-always wins."""
+it so process-pool workers inherit the setting); an explicit
+``checkpoint_dir`` argument always wins."""
 
 
 def resumable_run(

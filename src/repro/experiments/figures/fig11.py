@@ -47,7 +47,7 @@ def run(
     """Each (scheme, packet size) cell runs through
     :func:`~repro.experiments.figures.base.resumable_run` under its own
     content key, so with a checkpoint directory configured (explicitly or
-    via ``$REPRO_CHECKPOINT_DIR`` — the job service sets it per job) an
+    via ``$REPRO_CHECKPOINT_DIR``, which ``--checkpoint-dir`` exports) an
     interrupted figure resumes mid-grid *and* mid-cell.  Without one the
     grid runs exactly as before."""
     platform = get_platform(platform)

@@ -213,21 +213,15 @@ class Server:
         for workload in self.workloads:
             workload.time_shift(delta)
 
-    def _begin_run(self, total_epochs: int = 0):
+    def _begin_run(self):
         """Per-``run`` observability setup shared by the exact and sampled
-        executors; returns the context tuple ``_run_epoch`` consumes.
-
-        ``total_epochs`` (the number of epochs this ``run`` call will
-        simulate) arms live progress streaming: each epoch then also
-        emits a ``progress`` event with done/total, events/s, and an
-        ETA — the payload ``tools/service.py watch`` renders."""
+        executors; returns the context tuple ``_run_epoch`` consumes."""
         faults = self.faults
         tracer = obsv.TRACER
         profiler = obsv.PROFILER
         if profiler is not None:
             self.sim.profiler = profiler
         epoch_hist = None
-        progress = None
         if tracer is not None:
             epoch_hist = obsv.get_registry().histogram(
                 "repro_epoch_wall_seconds",
@@ -242,28 +236,12 @@ class Server:
             )
             if obsv.AUDIT is not None:
                 obsv.AUDIT.platform = self.platform.token
-            if total_epochs > 0 and (
-                tracer.sink is not None or tracer.context is not None
-            ):
-                # Progress events carry wall-clock rates and per-leg
-                # totals, so they are deliberately confined to streaming
-                # consumers (a spooled or service-context tracer) — a
-                # plain in-memory trace stays deterministic and replay
-                # traces stay comparable event-for-event.
-                # Totals are absolute (a checkpoint-resumed run reports
-                # "epoch 30/40", not "10/10 of the remainder").
-                progress = {
-                    "base": self.epochs_completed,
-                    "total": self.epochs_completed + total_epochs,
-                    "started": perf_counter(),
-                    "events_base": self.sim.events_executed,
-                }
-        return (faults, tracer, profiler, epoch_hist, progress)
+        return (faults, tracer, profiler, epoch_hist)
 
     def _run_epoch(self, ctx) -> EpochSample:
         """Simulate exactly one monitoring epoch (chaos, events, sample,
         manager) and advance ``epochs_completed``."""
-        faults, tracer, profiler, epoch_hist, progress = ctx
+        faults, tracer, profiler, epoch_hist = ctx
         i = self.epochs_completed
         if tracer is not None:
             tracer.epoch = i
@@ -295,31 +273,6 @@ class Server:
                 wall=wall,
             )
             epoch_hist.observe(wall)
-            if progress is not None:
-                done = self.epochs_completed + 1
-                elapsed = perf_counter() - progress["started"]
-                session = done - progress["base"]
-                rate = 0.0
-                if elapsed > 0:
-                    rate = (
-                        self.sim.events_executed - progress["events_base"]
-                    ) / elapsed
-                remaining = progress["total"] - done
-                eta = (
-                    remaining * (elapsed / session)
-                    if session > 0 and remaining > 0
-                    else 0.0
-                )
-                tracer.emit(
-                    obsv.KIND_PROGRESS,
-                    "epoch",
-                    {
-                        "done": done,
-                        "total": progress["total"],
-                        "events_per_s": round(rate, 1),
-                        "eta_s": round(eta, 3),
-                    },
-                )
         if self.manager is not None:
             if faults is not None:
                 faults.advance_epoch()
@@ -390,7 +343,7 @@ class Server:
                 run_key=run_key,
             )
         samples: List[EpochSample] = []
-        ctx = self._begin_run(epochs)
+        ctx = self._begin_run()
         tracer = ctx[1]
         for _ in range(epochs):
             sample = self._run_epoch(ctx)

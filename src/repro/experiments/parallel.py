@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import hashlib
 import os
 import time
 import traceback
@@ -47,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments import runcache
 from repro.experiments.errors import classify
 from repro.obsv.metrics import counts_of, diff_counts
-from repro.service.retry import RetryPolicy
 
 METRIC_FIELDS = (
     "ipc",
@@ -305,10 +305,9 @@ def recycle_if_broken() -> bool:
 
     A :class:`BrokenProcessPool` marks the executor permanently broken;
     every later submit fails instantly.  Rather than leaving the *next*
-    batch to discover that, callers in failure-handling paths (the batch
-    dispatcher below, the job-service supervisor after a worker death)
-    recycle eagerly: tear the broken executor down and warm a fresh one
-    with the same worker count.  Returns True when a recycle happened;
+    batch to discover that, the batch dispatcher below recycles eagerly
+    after a pool failure: tear the broken executor down and warm a fresh
+    one with the same worker count.  Returns True when a recycle happened;
     counted in :data:`dispatch_stats` (and from there exported by
     ``obsv.collect_process``)."""
     global _pool
@@ -368,21 +367,36 @@ dispatch_stats = DispatchStats()
 """Process-wide dispatch accounting (reset via ``dispatch_stats.reset()``)."""
 
 
-DISPATCH_RETRY_POLICY = RetryPolicy(
-    max_attempts=2, base_delay=0.2, max_delay=5.0, jitter=0.25
-)
-"""Backoff applied before re-running stranded or pool-broken tasks.
+BACKOFF_BASE_S = 0.2
+"""Backoff before the first dispatch retry; doubles per attempt."""
 
-The delay is deterministic (jitter is a pure function of the batch
-fingerprint and attempt number — see :meth:`RetryPolicy.delay`) so a
-retried batch is still reproducible.  Replace the module-level value to
-tune; tests swap in a zero-delay policy."""
+BACKOFF_CAP_S = 5.0
+"""Cap on the doubled backoff, applied before jitter."""
+
+BACKOFF_JITTER = 0.25
+"""Max relative perturbation of the backoff (0.25 = +/-25%)."""
+
+
+def backoff_delay(attempt: int, token: str) -> float:
+    """Seconds to wait before re-running stranded or pool-broken tasks
+    after ``attempt`` failures: ``BACKOFF_BASE_S * 2^(attempt-1)`` capped
+    at ``BACKOFF_CAP_S``, then perturbed by up to ``+/- BACKOFF_JITTER``.
+
+    The jitter is a pure function of ``(token, attempt)`` (a SHA-256 of
+    both, never a live RNG or the clock), so a retried batch backs off on
+    the same schedule every time and stays reproducible."""
+    if attempt < 1:
+        return 0.0
+    raw = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    digest = hashlib.sha256(f"{token}\0{attempt}".encode()).digest()
+    unit = int.from_bytes(digest[:8], "big") / float(1 << 64)  # [0, 1)
+    return raw * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 def _backoff(attempt: int, token: str) -> None:
-    """Sleep the policy's delay before a dispatch retry (recorded in
+    """Sleep :func:`backoff_delay` before a dispatch retry (recorded in
     :data:`dispatch_stats` so run reports show time lost to backoff)."""
-    delay = DISPATCH_RETRY_POLICY.delay(attempt, token=token)
+    delay = backoff_delay(attempt, token)
     if delay > 0:
         dispatch_stats.backoff_seconds += delay
         time.sleep(delay)
@@ -474,7 +488,7 @@ def run_tasks(
             if stranded:
                 # The worker is wedged, not slow: joining it would wedge
                 # us too.  Abandon the executor (no join), back off per
-                # the dispatch retry policy (the pool's workers may be
+                # :func:`backoff_delay` (the pool's workers may be
                 # contending for whatever starved the first attempt),
                 # then run the stranded tasks once, serially, where they
                 # cannot hang silently.

@@ -402,14 +402,6 @@ class CachedFigure:
             sorted(_normalize_platform(kwargs).items()),
         )
 
-    def cache_key(self, **kwargs: Any) -> str:
-        """The content key a call with these kwargs is memoized under.
-
-        The job service uses this as the dedup identity of a submitted
-        figure job, so a service job and a CLI run of the same figure
-        share one cache entry."""
-        return fingerprint(self._payload(self._resolve(), kwargs))
-
     def __call__(self, **kwargs: Any) -> Any:
         runner = self._resolve()
         payload = self._payload(runner, kwargs)

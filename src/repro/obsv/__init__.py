@@ -34,7 +34,7 @@ figures CLI), tear down with :func:`disable`.
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Optional
 
 from repro.obsv.audit import AuditTrail, Decision
 from repro.obsv.metrics import (
@@ -45,24 +45,19 @@ from repro.obsv.metrics import (
 )
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import (
-    ENV_TRACE_CONTEXT,
-    ENV_TRACE_SPOOL,
     KIND_CHECKPOINT,
     KIND_CONTROL,
     KIND_DCA,
     KIND_DECISION,
     KIND_EPOCH,
     KIND_FAULT,
-    KIND_JOB,
     KIND_MASK,
     KIND_PHASE,
     KIND_PLATFORM,
-    KIND_PROGRESS,
     KIND_SAMPLE,
     KIND_SPAN,
     KIND_TENANT,
     KIND_ZONE,
-    TraceContext,
     TraceEvent,
     Tracer,
 )
@@ -81,44 +76,15 @@ def enable(
     capacity: int = Tracer.DEFAULT_CAPACITY,
     audit_capacity: int = AuditTrail.DEFAULT_CAPACITY,
     profile: bool = True,
-    context: Optional[TraceContext] = None,
-    sink: Optional[Any] = None,
 ) -> Tracer:
     """Turn the observability layer on (idempotent: replaces any previous
-    tracer/trail/profiler with fresh, empty ones) and return the tracer.
-
-    ``context`` stamps every event with run/job identity;``sink`` (a
-    :class:`repro.obsv.spool.TraceSink`) spools segments to disk so the
-    trace survives the process."""
+    tracer/trail/profiler with fresh, empty ones) and return the tracer."""
     global TRACER, AUDIT, PROFILER
     _register_at_fork()
-    TRACER = Tracer(capacity, context=context, sink=sink)
+    TRACER = Tracer(capacity)
     AUDIT = AuditTrail(audit_capacity, tracer=TRACER)
     PROFILER = PhaseProfiler() if profile else None
     return TRACER
-
-
-def enable_from_env(environ=None) -> Optional[Tracer]:
-    """Enable tracing from worker-side environment variables.
-
-    :data:`ENV_TRACE_SPOOL` names the spool directory this process should
-    shard into; :data:`ENV_TRACE_CONTEXT` carries the encoded
-    :class:`TraceContext`.  Returns None (layer untouched) when no spool
-    is requested — the zero-cost-off path for un-traced jobs.  Never
-    raises: an unusable spool directory falls back to in-memory-only
-    tracing so observability can't take a worker down."""
-    env = os.environ if environ is None else environ
-    spool_root = env.get(ENV_TRACE_SPOOL, "")
-    if not spool_root:
-        return None
-    from repro.obsv.spool import TraceSink
-
-    context = TraceContext.from_env(env.get(ENV_TRACE_CONTEXT, ""))
-    try:
-        sink: Optional[Any] = TraceSink(spool_root)
-    except (OSError, ValueError):
-        sink = None
-    return enable(context=context, sink=sink)
 
 
 def disable() -> None:
@@ -154,19 +120,15 @@ __all__ = [
     "AUDIT",
     "AuditTrail",
     "Decision",
-    "ENV_TRACE_CONTEXT",
-    "ENV_TRACE_SPOOL",
     "KIND_CHECKPOINT",
     "KIND_CONTROL",
     "KIND_DCA",
     "KIND_DECISION",
     "KIND_EPOCH",
     "KIND_FAULT",
-    "KIND_JOB",
     "KIND_MASK",
     "KIND_PHASE",
     "KIND_PLATFORM",
-    "KIND_PROGRESS",
     "KIND_SAMPLE",
     "KIND_SPAN",
     "KIND_TENANT",
@@ -175,12 +137,10 @@ __all__ = [
     "PROFILER",
     "PhaseProfiler",
     "TRACER",
-    "TraceContext",
     "TraceEvent",
     "Tracer",
     "disable",
     "enable",
-    "enable_from_env",
     "enabled",
     "get_registry",
     "merge_counts",

@@ -78,8 +78,8 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
 
     Each event lands on the *recorded* emitting process (``event.pid``;
     legacy pid-0 traces collapse onto the synthetic process 1), with the
-    kind as the thread row — a merged multi-worker spool renders as one
-    track group per worker.  Real pids additionally get a
+    kind as the thread row — traces merged from several processes render
+    as one track group per process.  Real pids additionally get a
     ``process_name`` metadata event labelling the track with the run/job
     identity they carried."""
     trace_events: List[Dict[str, Any]] = []

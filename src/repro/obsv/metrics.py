@@ -138,13 +138,6 @@ class Histogram:
             if value <= bound:
                 self.counts[i] += 1
 
-    def reset(self) -> None:
-        """Zero every bucket (collectors that recompute from durable
-        state call this so repeated collection doesn't double-count)."""
-        self.counts = [0] * len(self.buckets)
-        self.sum = 0.0
-        self.count = 0
-
     def quantile_bound(self, q: float) -> float:
         """Upper bound of the bucket containing quantile ``q`` (coarse,
         +Inf reported as the largest finite bound)."""
@@ -155,44 +148,6 @@ class Histogram:
             if cumulative >= rank:
                 return bound
         return self.buckets[-1]
-
-    def quantile(self, q: float) -> float:
-        """Interpolated quantile ``q`` (see :func:`histogram_quantile`)."""
-        return histogram_quantile(self.buckets, self.counts, self.count, q)
-
-
-def histogram_quantile(
-    buckets: Sequence[float],
-    counts: Sequence[int],
-    count: int,
-    q: float,
-) -> float:
-    """Estimate quantile ``q`` from cumulative bucket counts, the way
-    PromQL's ``histogram_quantile`` does: rank into the first bucket whose
-    cumulative count covers it, then interpolate linearly inside that
-    bucket (lower edge = previous bound, 0 for the first bucket).
-
-    Edge buckets behave like Prometheus: an empty histogram reports 0.0;
-    a rank landing in the +Inf overflow bucket (observations above the
-    largest finite bound) clamps to the largest finite bound — there is
-    nothing to interpolate toward.  ``q`` outside [0, 1] raises."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if count <= 0:
-        return 0.0
-    rank = q * count
-    previous_cum = 0
-    previous_bound = 0.0
-    for bound, cumulative in zip(buckets, counts):
-        if cumulative >= rank:
-            in_bucket = cumulative - previous_cum
-            if in_bucket <= 0:
-                return bound
-            fraction = (rank - previous_cum) / in_bucket
-            return previous_bound + fraction * (bound - previous_bound)
-        previous_cum = cumulative
-        previous_bound = bound
-    return float(buckets[-1]) if buckets else 0.0
 
 
 Metric = Union[Counter, Gauge, Histogram]
@@ -343,64 +298,6 @@ def collect_process(registry: Optional[MetricsRegistry] = None) -> MetricsRegist
             f"repro_dispatch_{name}_total",
             help=f"pool-dispatch {name} this process",
         ).set(value)
-    return registry
-
-
-SERVICE_SLO_BUCKETS = (
-    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0,
-)
-"""Bucket bounds (seconds) for the service queue-wait / run-duration
-SLO histograms — wider than :data:`DEFAULT_BUCKETS` because figure jobs
-run for seconds to minutes."""
-
-
-def collect_service(
-    store: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Absorb a :class:`repro.service.store.JobStore`'s durable state:
-    live queue depth, per-state job counts, the incident counters
-    (retries, resumes, shed, deduped, recovered, corrupt rows, crashes),
-    and the SLO histograms — queue wait (created -> claimed) and run
-    duration (claimed -> done) per job attempt that reached those marks.
-    Takes the store as an argument — this module never imports the
-    service."""
-    registry = registry or get_registry()
-    registry.gauge(
-        "repro_service_queue_depth",
-        help="jobs queued, running, or awaiting a retry decision",
-    ).set(store.queue_depth())
-    for state, count in store.state_counts().items():
-        registry.gauge(
-            "repro_service_jobs",
-            help="jobs per state-machine state",
-            state=state.lower(),
-        ).set(count)
-    for name, value in store.counters().items():
-        registry.gauge(
-            f"repro_service_{name}_total",
-            help=f"job-service {name} incidents (durable)",
-        ).set(value)
-    queue_wait = registry.histogram(
-        "repro_service_queue_wait_seconds",
-        help="submit-to-claim latency per job that has been claimed",
-        buckets=SERVICE_SLO_BUCKETS,
-    )
-    run_duration = registry.histogram(
-        "repro_service_run_duration_seconds",
-        help="claim-to-done latency per completed job",
-        buckets=SERVICE_SLO_BUCKETS,
-    )
-    # Recomputed from the durable rows each collection — reset so a
-    # polling `metrics` loop doesn't compound observations.
-    queue_wait.reset()
-    run_duration.reset()
-    for job in store.jobs():
-        claimed_at = getattr(job, "claimed_at", None)
-        if claimed_at is None:
-            continue
-        queue_wait.observe(max(0.0, claimed_at - job.created_at))
-        if job.state == "DONE":
-            run_duration.observe(max(0.0, job.updated_at - claimed_at))
     return registry
 
 

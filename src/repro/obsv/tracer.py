@@ -23,23 +23,17 @@ Event taxonomy (``kind``):
 ``span``       a timed section (wall-seconds duration in ``wall``)
 ``platform``   run header: the microarchitecture spec fingerprint of the
                server producing the trace (one per ``Server.run``)
-``job``        a job-service lifecycle step (submit / dedup / shed /
-               claim / failed / requeue / recover / done / dead / kill)
-``progress``   per-epoch run progress (epochs done / total, events/s,
-               ETA seconds) — the live-streaming payload
 =============  =========================================================
 
 ``data`` values must stay JSON-round-trippable (numbers, strings, bools,
 lists, nested dicts) so a JSONL export reloads to identical events —
 ``tests/test_obsv.py`` locks that round trip.
 
-Cross-process correlation: every event is additionally stamped with the
-emitting process id (``pid``), a per-process monotonically increasing
-sequence number (``seq``), and the ambient :class:`TraceContext`
-(``run_id`` / ``job_id`` / ``attempt`` — the job service propagates it
-into workers via the environment).  ``(ts, pid, seq)`` is the merge key
-the spool reader (:mod:`repro.obsv.spool`) orders shards by, and
-``(pid, seq)`` alone totally orders one process's events.
+Every event is additionally stamped with the emitting process id
+(``pid``) and a per-process monotonically increasing sequence number
+(``seq``).  ``(ts, pid, seq)`` is the key ``tools/obsv.py`` merges several
+trace files by, and ``(pid, seq)`` alone totally orders one process's
+events.
 """
 
 from __future__ import annotations
@@ -63,8 +57,6 @@ KIND_SPAN = "span"
 KIND_PLATFORM = "platform"
 KIND_CHECKPOINT = "checkpoint"
 KIND_SAMPLE = "sample"
-KIND_JOB = "job"
-KIND_PROGRESS = "progress"
 KIND_TENANT = "tenant"
 
 ALL_KINDS = (
@@ -80,55 +72,8 @@ ALL_KINDS = (
     KIND_PLATFORM,
     KIND_CHECKPOINT,
     KIND_SAMPLE,
-    KIND_JOB,
-    KIND_PROGRESS,
     KIND_TENANT,
 )
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The ambient identity stamped on every event a tracer emits.
-
-    ``run_id`` names the logical run (the job service uses the job's
-    content key prefix), ``job_id``/``attempt`` tie events back to the
-    durable store row.  Propagated into worker processes through the
-    environment (:data:`ENV_TRACE_CONTEXT`) so events from any process
-    of one job correlate."""
-
-    run_id: str = ""
-    job_id: Optional[int] = None
-    attempt: int = 0
-
-    def to_env(self) -> str:
-        """A compact, shell-safe encoding for worker environments."""
-        return f"{self.run_id}|{'' if self.job_id is None else self.job_id}|{self.attempt}"
-
-    @classmethod
-    def from_env(cls, value: str) -> "TraceContext":
-        """Inverse of :meth:`to_env`; tolerant of malformed values (a bad
-        context must never take a worker down)."""
-        parts = (value or "").split("|")
-        run_id = parts[0] if parts else ""
-        job_id: Optional[int] = None
-        attempt = 0
-        try:
-            if len(parts) > 1 and parts[1]:
-                job_id = int(parts[1])
-            if len(parts) > 2 and parts[2]:
-                attempt = int(parts[2])
-        except ValueError:
-            pass
-        return cls(run_id=run_id, job_id=job_id, attempt=attempt)
-
-
-ENV_TRACE_CONTEXT = "REPRO_TRACE_CONTEXT"
-"""Environment variable carrying :meth:`TraceContext.to_env` into
-spawned worker processes."""
-
-ENV_TRACE_SPOOL = "REPRO_TRACE_SPOOL"
-"""Environment variable naming a spool directory; a worker seeing it
-enables tracing with a :class:`~repro.obsv.spool.TraceSink` attached."""
 
 
 @dataclass
@@ -136,10 +81,10 @@ class TraceEvent:
     """One traced occurrence.  ``ts`` is simulated cycles; ``wall`` is a
     wall-clock duration in seconds (spans and epoch events, else 0).
 
-    ``pid``/``seq`` plus the trace-context fields (``run_id``,
-    ``job_id``, ``attempt``) make events from different processes
-    correlatable and mergeable; they default to the pre-context values so
-    older JSONL traces reload unchanged."""
+    ``pid``/``seq`` make events from different processes mergeable; they
+    default to 0 so older JSONL traces reload unchanged.  The tracer
+    leaves ``run_id``, ``job_id`` and ``attempt`` at their defaults; they
+    stay in the schema so older traces that carry them reload unchanged."""
 
     ts: float
     epoch: int
@@ -153,11 +98,6 @@ class TraceEvent:
     job_id: Optional[int] = None
     attempt: int = 0
 
-    @property
-    def order_key(self):
-        """The cross-shard merge key: ``(ts, pid, seq)``."""
-        return (self.ts, self.pid, self.seq)
-
 
 class Tracer:
     """Bounded, process-wide event sink.
@@ -170,12 +110,7 @@ class Tracer:
 
     DEFAULT_CAPACITY = 65536
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        context: Optional[TraceContext] = None,
-        sink: Optional[Any] = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
@@ -195,14 +130,6 @@ class Tracer:
         self.seq = 0
         """Per-process monotonically increasing sequence number; with
         ``pid`` it totally orders one process's events."""
-        self.context = context
-        """Ambient :class:`TraceContext` (or None outside the service)."""
-        self.sink: Optional[Any] = sink
-        """Optional spool sink (:class:`repro.obsv.spool.TraceSink`);
-        every emitted event is offered to it."""
-        self.progress: Optional[Dict[str, Any]] = None
-        """Latest ``progress`` event payload (the supervisor heartbeat
-        thread reads this to push live progress into the job store)."""
 
     def emit(
         self,
@@ -215,7 +142,6 @@ class Tracer:
         if len(self.events) == self.capacity:
             self.dropped += 1
         self.seq += 1
-        ctx = self.context
         event = TraceEvent(
             ts=self.now if ts is None else ts,
             epoch=self.epoch,
@@ -225,15 +151,8 @@ class Tracer:
             wall=wall,
             pid=self.pid,
             seq=self.seq,
-            run_id=ctx.run_id if ctx is not None else "",
-            job_id=ctx.job_id if ctx is not None else None,
-            attempt=ctx.attempt if ctx is not None else 0,
         )
         self.events.append(event)
-        if kind == KIND_PROGRESS:
-            self.progress = event.data
-        if self.sink is not None:
-            self.sink.offer(event)
         return event
 
     def after_fork(self) -> None:
@@ -242,14 +161,11 @@ class Tracer:
         Registered via ``os.register_at_fork`` by :func:`repro.obsv.enable`
         so a child that inherits an enabled tracer doesn't keep emitting
         under the parent's pid.  The inherited ring and seq are reset —
-        the child's stream starts fresh; a sink is *not* inherited (shard
-        files must not be shared across processes)."""
+        the child's stream starts fresh."""
         self.pid = os.getpid()
         self.seq = 0
         self.events.clear()
         self.dropped = 0
-        self.sink = None
-        self.progress = None
 
     @contextmanager
     def span(

@@ -276,35 +276,3 @@ class CheckpointStore:
             if state is not None:
                 return state
         return None
-
-
-def newest_epoch(root) -> Optional[int]:
-    """The newest indexed checkpoint epoch across every run key under
-    ``root`` — None when the store directory holds none.
-
-    This reads only the JSON indices (never unpickles a blob), so it is
-    cheap enough for the job supervisor to call after every worker death
-    to decide whether a retry is a *resume* (and from which epoch) or a
-    from-scratch re-run."""
-    index_dir = Path(root) / "index"
-    newest: Optional[int] = None
-    try:
-        entries = list(index_dir.glob("*.json"))
-    except OSError:
-        return None
-    for path in entries:
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                index = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if not isinstance(index, dict):
-            continue
-        for raw in index:
-            try:
-                epoch = int(raw)
-            except (TypeError, ValueError):
-                continue
-            if newest is None or epoch > newest:
-                newest = epoch
-    return newest

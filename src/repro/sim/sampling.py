@@ -318,7 +318,7 @@ class SampledRun:
         detailed = 0
         skipped = 0
         i = 0
-        ctx = server._begin_run(epochs)
+        ctx = server._begin_run()
         while i < epochs:
             remaining = epochs - i
             stable = clusters.stable_cluster()

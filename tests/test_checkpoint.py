@@ -356,24 +356,6 @@ def test_save_and_load_hold_the_run_key_flock(tmp_path):
     assert store.load("runA", state.epoch).digest == state.digest
 
 
-def test_newest_epoch_scans_indices_without_unpickling(tmp_path):
-    from repro.sim.checkpoint import newest_epoch
-
-    root = tmp_path / "ckpt"
-    assert newest_epoch(root) is None  # no store at all
-    store = CheckpointStore(root)
-    origin, state2 = _stored_state(epochs=2)
-    store.save("runA", state2)
-    origin.run(epochs=2, warmup=0)
-    store.save("runA", checkpoint.snapshot(origin))
-    store.save("runB", state2)
-    assert newest_epoch(root) == 4  # max across every run key
-    # Destroy every blob: the scan still answers from the indices alone.
-    for blob in root.rglob(f"*{checkpoint.CHECKPOINT_SUFFIX}"):
-        blob.write_bytes(b"garbage")
-    assert newest_epoch(root) == 4
-
-
 # -- run_setup resume -------------------------------------------------------
 
 

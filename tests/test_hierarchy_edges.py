@@ -1,6 +1,6 @@
 """Edge-case behaviour of the hierarchy that the main test files skip."""
 
-from repro import config
+from repro.platform import SKYLAKE_SP
 
 
 def test_dma_write_update_of_consumed_inclusive_line(hierarchy, bank):
@@ -9,10 +9,10 @@ def test_dma_write_update_of_consumed_inclusive_line(hierarchy, bank):
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(0.5, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line.way in config.INCLUSIVE_WAYS and line.holders == {0}
+    assert line.way in SKYLAKE_SP.inclusive_ways and line.holders == {0}
     hierarchy.dma_write(1.0, 100, "nic", allocating=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line.way in config.INCLUSIVE_WAYS  # write-update in place
+    assert line.way in SKYLAKE_SP.inclusive_ways  # write-update in place
     assert not line.consumed and line.dirty
     assert line.holders == set()
     assert hierarchy.mlcs[0].peek(100) is None

@@ -1,6 +1,6 @@
 """Tests for the IIO agent: DMA routed per the port's DCA state."""
 
-from repro import config
+from repro.platform import SKYLAKE_SP
 from repro.telemetry.counters import CounterBank
 from repro.uncore.iio import IIOAgent
 from repro.uncore.pcie import PcieComplex
@@ -11,7 +11,7 @@ def test_inbound_write_allocating(hierarchy, bank):
     port = PcieComplex(bank).add_port(0, "nic")
     iio.inbound_write(0.0, port, 42, "nic")
     line = hierarchy.llc.lookup(42, touch=False)
-    assert line is not None and line.way in config.DCA_WAYS
+    assert line is not None and line.way in SKYLAKE_SP.dca_ways
     assert port.inbound_write_lines == 1
 
 

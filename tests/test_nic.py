@@ -1,9 +1,9 @@
 """Tests for the NIC device model."""
 
-from repro import config
 from repro.devices.nic import Nic, NicConfig
 from repro.devices.packetgen import PacketGenConfig, PacketGenerator
 from repro.devices.ring import RxRing
+from repro.platform import SKYLAKE_SP
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.counters import CounterBank
@@ -43,7 +43,7 @@ def test_nic_dma_writes_into_dca(hierarchy, bank):
     entry = rings[0].peek()
     assert entry is not None
     line = hierarchy.llc.lookup(entry.buffer_addr, touch=False)
-    assert line is not None and line.way in config.DCA_WAYS
+    assert line is not None and line.way in SKYLAKE_SP.dca_ways
 
 
 def test_full_rings_drop_packets(hierarchy, bank):

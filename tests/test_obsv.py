@@ -72,6 +72,14 @@ class TestTracer:
         assert len(tracer) == 0 and tracer.dropped == 0
         assert tracer.epoch == -1 and tracer.now == 0.0
 
+    def test_emit_stamps_pid_and_seq(self):
+        tracer = Tracer()
+        first = tracer.emit(obsv.KIND_FAULT, "a")
+        second = tracer.emit(obsv.KIND_FAULT, "b")
+        assert first.pid == os.getpid() == second.pid
+        assert (first.seq, second.seq) == (1, 2)
+        assert first.run_id == "" and first.job_id is None
+
 
 class TestEnableDisable:
     def test_enable_installs_fresh_singletons(self):
@@ -282,6 +290,23 @@ class TestJsonl:
         with open(path, "a") as handle:
             handle.write("\n")
         assert len(export.read_jsonl(path)) == 1
+
+    def test_older_traces_reload_unchanged(self, tmp_path):
+        """Traces without pid/seq keys reload with the defaults, and
+        traces whose events carry run/job identity keep it."""
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(
+            '{"ts": 1.0, "epoch": 0, "kind": "fault", "name": "f", '
+            '"data": {}, "wall": 0.0}\n'
+            '{"ts": 2.0, "epoch": 0, "kind": "fault", "name": "g", '
+            '"data": {}, "wall": 0.0, "pid": 7, "seq": 3, '
+            '"run_id": "r", "job_id": 5, "attempt": 2}\n'
+        )
+        legacy, stamped = export.read_jsonl(path)
+        assert legacy.pid == 0 and legacy.seq == 0
+        assert legacy.run_id == "" and legacy.job_id is None
+        assert (stamped.pid, stamped.seq) == (7, 3)
+        assert (stamped.run_id, stamped.job_id, stamped.attempt) == ("r", 5, 2)
 
 
 class TestChromeTrace:
@@ -543,233 +568,6 @@ class TestCli:
         ) == 2
 
 
-# -- trace context / cross-process stamping ----------------------------------
-
-
-class TestTraceContext:
-    def test_env_round_trip(self):
-        from repro.obsv.tracer import TraceContext
-
-        ctx = TraceContext(run_id="abc123", job_id=7, attempt=2)
-        assert TraceContext.from_env(ctx.to_env()) == ctx
-        none_job = TraceContext(run_id="r")
-        assert TraceContext.from_env(none_job.to_env()) == none_job
-
-    @pytest.mark.parametrize(
-        "raw", ["", "just-a-run-id", "r|not-an-int|x", "a|b|c|d|e"]
-    )
-    def test_malformed_env_never_raises(self, raw):
-        from repro.obsv.tracer import TraceContext
-
-        ctx = TraceContext.from_env(raw)
-        assert isinstance(ctx.attempt, int)
-
-    def test_emit_stamps_pid_seq_and_context(self):
-        from repro.obsv.tracer import TraceContext
-
-        tracer = Tracer(
-            context=TraceContext(run_id="deadbeef", job_id=3, attempt=2)
-        )
-        first = tracer.emit(obsv.KIND_FAULT, "a")
-        second = tracer.emit(obsv.KIND_FAULT, "b")
-        assert first.pid == os.getpid() == second.pid
-        assert (first.seq, second.seq) == (1, 2)
-        assert first.run_id == "deadbeef"
-        assert first.job_id == 3 and first.attempt == 2
-        assert first.order_key < second.order_key
-
-    def test_contextless_events_keep_legacy_defaults_on_reload(self, tmp_path):
-        """Old JSONL traces (no pid/seq/context keys) reload unchanged."""
-        path = tmp_path / "legacy.jsonl"
-        path.write_text(
-            '{"ts": 1.0, "epoch": 0, "kind": "fault", "name": "f", '
-            '"data": {}, "wall": 0.0}\n'
-        )
-        (event,) = export.read_jsonl(path)
-        assert event.pid == 0 and event.seq == 0
-        assert event.run_id == "" and event.job_id is None
-
-    def test_enable_from_env_requires_spool(self, tmp_path):
-        assert obsv.enable_from_env(environ={}) is None
-        assert obsv.TRACER is None
-        tracer = obsv.enable_from_env(
-            environ={
-                obsv.ENV_TRACE_SPOOL: str(tmp_path / "spool"),
-                obsv.ENV_TRACE_CONTEXT: "run|5|1",
-            }
-        )
-        try:
-            assert tracer is not None and tracer is obsv.TRACER
-            assert tracer.sink is not None
-            assert tracer.context.job_id == 5
-        finally:
-            obsv.disable()
-
-
-# -- the spool ---------------------------------------------------------------
-
-
-class TestSpool:
-    def _traced(self, tmp_path, **sink_kwargs):
-        from repro.obsv.spool import TraceSink
-        from repro.obsv.tracer import TraceContext
-
-        sink = TraceSink(tmp_path / "spool", **sink_kwargs)
-        tracer = Tracer(context=TraceContext(run_id="r", job_id=1), sink=sink)
-        return tracer, sink
-
-    def test_segments_flush_and_read_back(self, tmp_path):
-        from repro.obsv.spool import read_spool
-
-        tracer, sink = self._traced(tmp_path, segment_events=4)
-        for i in range(10):
-            tracer.emit(obsv.KIND_FAULT, f"f{i}", ts=float(i))
-        sink.close()
-        events = read_spool(sink.root)
-        assert [e.name for e in events] == [f"f{i}" for i in range(10)]
-        assert sink.segments_written == 3  # 4 + 4 + 2 (close)
-        assert sink.events_spooled == 10
-
-    def test_progress_and_checkpoint_force_flush(self, tmp_path):
-        tracer, sink = self._traced(tmp_path, segment_events=1000)
-        tracer.emit(obsv.KIND_FAULT, "f")
-        assert sink.segments_written == 0  # still buffered
-        tracer.emit(obsv.KIND_PROGRESS, "epoch", {"done": 1, "total": 2})
-        assert sink.segments_written == 1  # epoch boundary hit the disk
-        tracer.emit(obsv.KIND_CHECKPOINT, "snapshot", {"epoch": 1})
-        assert sink.segments_written == 2
-
-    def test_disk_budget_evicts_oldest_shards(self, tmp_path):
-        from repro.obsv.spool import list_shards, read_spool
-
-        tracer, sink = self._traced(
-            tmp_path, segment_events=1, budget_bytes=600
-        )
-        for i in range(20):
-            tracer.emit(obsv.KIND_FAULT, f"f{i:02d}", ts=float(i))
-        assert sink.shards_evicted > 0
-        survivors = read_spool(sink.root)
-        # Recent history wins: whatever survived is a contiguous tail.
-        names = [e.name for e in survivors]
-        assert names == [f"f{i:02d}" for i in range(20 - len(names), 20)]
-        total = sum(p.stat().st_size for p in list_shards(sink.root))
-        assert total <= 600 or len(list_shards(sink.root)) == 1
-
-    def test_merge_orders_across_pids(self, tmp_path):
-        from repro.obsv import spool
-
-        root = tmp_path / "spool"
-        root.mkdir()
-        a = [
-            TraceEvent(ts=0.0, epoch=0, kind="fault", name="a0", pid=1, seq=1),
-            TraceEvent(ts=2.0, epoch=0, kind="fault", name="a1", pid=1, seq=2),
-        ]
-        b = [
-            TraceEvent(ts=1.0, epoch=0, kind="fault", name="b0", pid=2, seq=1),
-        ]
-        export.write_jsonl(a, root / spool.shard_name(1, 1))
-        export.write_jsonl(b, root / spool.shard_name(2, 1))
-        merged = spool.read_spool(root)
-        assert [e.name for e in merged] == ["a0", "b0", "a1"]
-        assert spool.spool_pids(root) == [1, 2]
-
-    def test_torn_tmp_files_are_ignored(self, tmp_path):
-        from repro.obsv import spool
-
-        root = tmp_path / "spool"
-        root.mkdir()
-        export.write_jsonl(
-            [TraceEvent(ts=0.0, epoch=0, kind="fault", name="ok",
-                        pid=1, seq=1)],
-            root / spool.shard_name(1, 1),
-        )
-        (root / (spool.shard_name(1, 2) + ".tmp")).write_text("torn{{{")
-        (root / "unrelated.txt").write_text("not a shard")
-        assert [e.name for e in spool.read_spool(root)] == ["ok"]
-
-    def test_read_pid_tail_returns_seq_ordered_suffix(self, tmp_path):
-        from repro.obsv.spool import read_pid_tail
-
-        tracer, sink = self._traced(tmp_path, segment_events=2)
-        for i in range(7):
-            tracer.emit(obsv.KIND_FAULT, f"f{i}")
-        sink.close()
-        tail = read_pid_tail(sink.root, tracer.pid, limit=3)
-        assert [e.name for e in tail] == ["f4", "f5", "f6"]
-        assert read_pid_tail(sink.root, 999999) == []
-
-    def test_follow_spool_yields_each_shard_once(self, tmp_path):
-        from repro.obsv.spool import follow_spool
-
-        tracer, sink = self._traced(tmp_path, segment_events=2)
-        for i in range(4):
-            tracer.emit(obsv.KIND_FAULT, f"f{i}")
-        seen = [
-            e.name
-            for e in follow_spool(sink.root, poll_interval=0.01, max_seconds=0)
-        ]
-        assert seen == ["f0", "f1", "f2", "f3"]
-
-    def test_sink_survives_unwritable_root(self, tmp_path):
-        """A spool failure degrades to dropped segments, never an error
-        out of the emit path."""
-        tracer, sink = self._traced(tmp_path, segment_events=1)
-        sink.root = tmp_path / "vanished" / "spool"  # never created
-        tracer.emit(obsv.KIND_FAULT, "f")
-        assert sink.write_errors == 1
-        assert sink.segments_written == 0
-
-
-# -- histogram quantiles -----------------------------------------------------
-
-
-class TestHistogramQuantile:
-    def _hist(self):
-        hist = metrics.Histogram(buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 3.0, 8.0):
-            hist.observe(value)
-        return hist
-
-    def test_interpolates_within_bucket(self):
-        hist = self._hist()
-        # rank 2 lands at the top of the (1, 2] bucket.
-        assert hist.quantile(0.5) == pytest.approx(2.0)
-
-    def test_first_bucket_interpolates_from_zero(self):
-        hist = self._hist()
-        # rank 0.5 is halfway through the first bucket's single count.
-        assert hist.quantile(0.125) == pytest.approx(0.5)
-
-    def test_overflow_bucket_clamps_to_last_finite_bound(self):
-        hist = self._hist()
-        assert hist.quantile(1.0) == pytest.approx(4.0)
-        assert hist.quantile(0.99) == pytest.approx(4.0)
-
-    def test_empty_histogram_reports_zero(self):
-        assert metrics.Histogram(buckets=(1.0,)).quantile(0.5) == 0.0
-
-    def test_invalid_quantile_raises(self):
-        hist = self._hist()
-        with pytest.raises(ValueError):
-            hist.quantile(-0.1)
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-
-    def test_function_form_matches_method(self):
-        hist = self._hist()
-        assert metrics.histogram_quantile(
-            hist.buckets, hist.counts, hist.count, 0.5
-        ) == hist.quantile(0.5)
-
-    def test_empty_bucket_run_returns_bound(self):
-        hist = metrics.Histogram(buckets=(1.0, 2.0))
-        hist.observe(0.5)
-        hist.observe(0.6)
-        # Both observations sit in the first bucket; p99's rank resolves
-        # inside it, never the empty (1, 2] bucket.
-        assert hist.quantile(0.99) <= 1.0
-
-
 # -- chrome export: multi-process streams ------------------------------------
 
 
@@ -800,16 +598,12 @@ class TestChromeMultiProcess:
         assert entries[0]["pid"] == 1
 
 
-# -- CLI: multi-source & spool inputs ----------------------------------------
+# -- CLI: multi-source inputs -----------------------------------------------
 
 
 class TestCliMultiSource:
     @pytest.fixture()
-    def spool_dir(self, tmp_path):
-        from repro.obsv import spool
-
-        root = tmp_path / "spool"
-        root.mkdir()
+    def two_files(self, tmp_path):
         a = [
             TraceEvent(ts=0.0, epoch=0, kind="fault", name="a0",
                        pid=1, seq=1),
@@ -820,17 +614,19 @@ class TestCliMultiSource:
             TraceEvent(ts=1.0, epoch=0, kind="epoch", name="b0",
                        pid=2, seq=1, wall=0.1),
         ]
-        export.write_jsonl(a, root / spool.shard_name(1, 1))
-        export.write_jsonl(b, root / spool.shard_name(2, 1))
-        return root
+        paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+        export.write_jsonl(a, paths[0])
+        export.write_jsonl(b, paths[1])
+        return paths
 
-    def test_summary_accepts_spool_dir(self, obsv_cli, spool_dir, capsys):
-        assert obsv_cli.main(["summary", str(spool_dir)]) == 0
+    def test_summary_merges_multiple_files(
+        self, obsv_cli, tmp_path, two_files, capsys
+    ):
+        assert obsv_cli.main(["summary", *two_files]) == 0
         out = capsys.readouterr().out
         assert "3 events" in out
         assert "2 process(es): 1 2" in out
 
-    def test_summary_merges_multiple_files(self, obsv_cli, tmp_path, capsys):
         one = tmp_path / "one.jsonl"
         two = tmp_path / "two.jsonl"
         export.write_jsonl(
@@ -847,25 +643,7 @@ class TestCliMultiSource:
         out = capsys.readouterr().out
         assert out.index("early") < out.index("late")  # merged by ts
 
-    def test_tail_shows_newest_events(self, obsv_cli, spool_dir, capsys):
-        assert obsv_cli.main(["tail", str(spool_dir), "-n", "2"]) == 0
+    def test_tail_shows_newest_events(self, obsv_cli, two_files, capsys):
+        assert obsv_cli.main(["tail", *two_files, "-n", "2"]) == 0
         out = capsys.readouterr().out
         assert "a1" in out and "b0" in out and "a0" not in out
-
-    def test_tail_follow_needs_a_directory(self, obsv_cli, tmp_path, capsys):
-        path = tmp_path / "t.jsonl"
-        export.write_jsonl(
-            [TraceEvent(ts=0.0, epoch=0, kind="fault", name="f")], path
-        )
-        assert obsv_cli.main(["tail", str(path), "--follow"]) == 2
-
-    def test_tail_follow_streams_spool(self, obsv_cli, spool_dir, capsys):
-        assert obsv_cli.main(
-            ["tail", str(spool_dir), "-n", "1", "--follow",
-             "--max-seconds", "0", "--interval", "0.01"]
-        ) == 0
-        out = capsys.readouterr().out
-        # tail -f semantics: the follower re-reads every shard but must
-        # not replay events that predate the initial listing.
-        assert out.count("a1") == 1
-        assert "a0" not in out and "b0" not in out

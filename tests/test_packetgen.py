@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.devices.packetgen import PacketGenConfig, PacketGenerator
+from repro.platform import SKYLAKE_SP
 from repro.sim.rng import DeterministicRng
 
 
@@ -54,4 +54,4 @@ def test_config_validation():
 
 def test_default_rate_is_config_value():
     cfg = PacketGenConfig()
-    assert cfg.line_rate_lines_per_cycle == config.NIC_LINE_RATE_LINES_PER_CYCLE
+    assert cfg.line_rate_lines_per_cycle == SKYLAKE_SP.nic_line_rate_lines_per_cycle

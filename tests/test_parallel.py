@@ -298,13 +298,9 @@ def test_broken_pool_is_recycled_and_batch_recovers(monkeypatch):
     import os
 
     from repro.experiments import parallel as par
-    from repro.service.retry import RetryPolicy
 
-    monkeypatch.setattr(
-        par,
-        "DISPATCH_RETRY_POLICY",
-        RetryPolicy(base_delay=0.01, max_delay=0.01),
-    )
+    monkeypatch.setattr(par, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(par, "BACKOFF_CAP_S", 0.01)
     par.dispatch_stats.reset()
     parent = os.getpid()
     # Two tasks so the effective worker count stays > 1 (a one-task batch
@@ -340,9 +336,21 @@ def test_recycle_if_broken_is_a_noop_on_healthy_pools():
 def test_dispatch_backoff_is_deterministic_and_counted():
     from repro.experiments import parallel as par
 
-    delay = par.DISPATCH_RETRY_POLICY.delay(1, token="batch")
-    assert delay == par.DISPATCH_RETRY_POLICY.delay(1, token="batch")
+    delay = par.backoff_delay(1, "batch")
+    assert delay == par.backoff_delay(1, "batch")
     assert 0.15 <= delay <= 0.25  # base 0.2s within the 25% jitter band
     before = par.dispatch_stats.backoff_seconds
     par._backoff(0, token="x")  # zero failures: no delay, nothing logged
     assert par.dispatch_stats.backoff_seconds == before
+
+
+def test_backoff_delay_schedule_is_pinned():
+    """Base 0.2 s doubling per attempt, capped at 5 s before a +/-25%
+    jitter hashed from (token, attempt): exact values, so a change to the
+    schedule cannot slip through."""
+    from repro.experiments.parallel import backoff_delay
+
+    assert backoff_delay(1, "batch") == 0.21755326280105108
+    assert backoff_delay(3, "x") == 0.8830161696021279
+    assert backoff_delay(7, "cap") == 6.014378726721663  # capped, then +20%
+    assert backoff_delay(0, "x") == 0.0

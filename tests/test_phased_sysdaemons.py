@@ -3,13 +3,13 @@ phase-change restoration reacting to them."""
 
 import pytest
 
-from repro import config
 from repro.core.a4 import A4Manager
 from repro.core.policy import A4Policy
 from repro.experiments.harness import Server
+from repro.platform import SKYLAKE_SP
 from repro.workloads.phased import PhasedWorkload
-from repro.workloads.sysdaemons import ksm, zswap
 from repro.workloads.synthetic import AccessProfile
+from repro.workloads.sysdaemons import ksm, zswap
 from repro.workloads.xmem import xmem
 
 
@@ -24,8 +24,8 @@ def test_phased_workload_is_idle_between_bursts():
     profile = AccessProfile(working_set_lines=1000)
     workload = PhasedWorkload(
         "burst", profile, "LPW",
-        active_cycles=config.EPOCH_CYCLES,
-        idle_cycles=2 * config.EPOCH_CYCLES,
+        active_cycles=SKYLAKE_SP.epoch_cycles,
+        idle_cycles=2 * SKYLAKE_SP.epoch_cycles,
     )
     server.add_workload(workload)
     result = server.run(epochs=6, warmup=0)
@@ -61,8 +61,8 @@ def test_a4_detects_and_restores_phased_antagonist():
     server.add_workload(xmem("hp", 1.0, cores=1, priority="HPW"))
     daemon = ksm(
         phased=True,
-        active_cycles=6 * config.EPOCH_CYCLES,
-        idle_cycles=30 * config.EPOCH_CYCLES,
+        active_cycles=6 * SKYLAKE_SP.epoch_cycles,
+        idle_cycles=30 * SKYLAKE_SP.epoch_cycles,
     )
     server.add_workload(daemon)
     manager = A4Manager(A4Policy())

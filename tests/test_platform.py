@@ -1,8 +1,5 @@
-"""PlatformSpec: validation, preset identity, the deprecation shim, and
-two specs coexisting in one process."""
-
-import importlib
-import warnings
+"""PlatformSpec: validation, preset identity, and two specs coexisting in
+one process."""
 
 import pytest
 
@@ -62,81 +59,27 @@ def test_extended_directory_must_cover_inclusive_ways():
 
 
 # -- capacity helpers: parity with the old free functions -------------------
-
-
-def _shim():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro import config
-    return config
+#
+# The expected values are what the module-level ``lines_for_paper_bytes``,
+# ``packet_lines`` and ``CAPACITY_SCALE`` returned before the platform
+# became an explicit value; the skylake-sp preset must keep reproducing them.
 
 
 def test_lines_for_paper_bytes_matches_old_free_function():
-    config = _shim()
-    for paper_bytes in (1, 4096, 4 * 1024 * 1024, 25 * 1024 * 1024):
-        assert SKYLAKE_SP.lines_for_paper_bytes(
-            paper_bytes
-        ) == config.lines_for_paper_bytes(paper_bytes)
-    assert SKYLAKE_SP.lines_for_paper_bytes(
-        1, minimum=7
-    ) == config.lines_for_paper_bytes(1, minimum=7)
+    sizes = (1, 4096, 4 * 1024 * 1024, 25 * 1024 * 1024)
+    assert [SKYLAKE_SP.lines_for_paper_bytes(b) for b in sizes] == [
+        1, 1, 451, 2816,
+    ]
+    assert SKYLAKE_SP.lines_for_paper_bytes(1, minimum=7) == 7
 
 
 def test_packet_lines_matches_old_free_function():
-    config = _shim()
-    for packet_bytes in (1, 64, 65, 256, 1024, 1514):
-        assert SKYLAKE_SP.packet_lines(packet_bytes) == config.packet_lines(
-            packet_bytes
-        )
+    sizes = (1, 64, 65, 256, 1024, 1514)
+    assert [SKYLAKE_SP.packet_lines(b) for b in sizes] == [1, 1, 2, 4, 16, 24]
 
 
 def test_capacity_scale_bitwise_equal_to_old_constant():
-    assert SKYLAKE_SP.capacity_scale == _shim().CAPACITY_SCALE
-
-
-# -- deprecation shim -------------------------------------------------------
-
-
-def test_shim_warns_once_and_mirrors_the_skylake_preset():
-    import repro.config as config_module
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = importlib.reload(config_module)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "repro.platform" in str(deprecations[0].message)
-
-    preset = PlatformSpec.presets()["skylake-sp"]
-    expected = {
-        "LINE_BYTES": preset.line_bytes,
-        "LLC_WAYS": preset.llc_ways,
-        "LLC_SETS": preset.llc_sets,
-        "LLC_WAY_LINES": preset.llc_way_lines,
-        "DCA_WAYS": preset.dca_ways,
-        "INCLUSIVE_WAYS": preset.inclusive_ways,
-        "STANDARD_WAYS": preset.standard_ways,
-        "EXTENDED_DIR_WAYS": preset.extended_dir_ways,
-        "MLC_SETS": preset.mlc_sets,
-        "MLC_WAYS": preset.mlc_ways,
-        "MLC_LINES": preset.mlc_lines,
-        "PAPER_LLC_WAY_BYTES": preset.paper_llc_way_bytes,
-        "CAPACITY_SCALE": preset.capacity_scale,
-        "MLC_HIT_CYCLES": preset.mlc_hit_cycles,
-        "LLC_HIT_CYCLES": preset.llc_hit_cycles,
-        "MEMORY_CYCLES": preset.memory_cycles,
-        "EPOCH_CYCLES": preset.epoch_cycles,
-        "WARMUP_EPOCHS": preset.warmup_epochs,
-        "MEMORY_BANDWIDTH_LINES_PER_CYCLE":
-            preset.memory_bandwidth_lines_per_cycle,
-        "NIC_LINE_RATE_LINES_PER_CYCLE": preset.nic_line_rate_lines_per_cycle,
-        "SSD_BANDWIDTH_LINES_PER_CYCLE": preset.ssd_bandwidth_lines_per_cycle,
-        "SSD_COMMAND_OVERHEAD_CYCLES": preset.ssd_command_overhead_cycles,
-    }
-    for name, value in expected.items():
-        assert getattr(config, name) == value, name
+    assert SKYLAKE_SP.capacity_scale == 0.006875000786781401
 
 
 # -- registry / derivation --------------------------------------------------

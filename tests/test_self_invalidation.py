@@ -1,7 +1,7 @@
 """Tests for the IDIO/Sweeper-style self-invalidation baseline (§8)."""
 
-from repro import config
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.platform import SKYLAKE_SP
 from repro.rdt.cat import CacheAllocation
 from repro.telemetry.counters import CounterBank
 from repro.uncore.memory import MemoryController
@@ -58,7 +58,7 @@ def test_inclusive_ways_stay_free_for_others():
     occupied = [
         line
         for line in hierarchy.llc.resident()
-        if line.stream == "nic" and line.way in config.INCLUSIVE_WAYS
+        if line.stream == "nic" and line.way in SKYLAKE_SP.inclusive_ways
     ]
     assert occupied == []
     del sets
@@ -69,4 +69,4 @@ def test_default_hierarchy_keeps_paper_behaviour():
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(1.0, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line is not None and line.way in config.INCLUSIVE_WAYS
+    assert line is not None and line.way in SKYLAKE_SP.inclusive_ways

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.experiments.harness import Server
+from repro.platform import SKYLAKE_SP
 from repro.workloads.spec import SPEC_PROFILES, spec_workload
 from repro.workloads.synthetic import AccessProfile, SyntheticWorkload
 from repro.workloads.xmem import xmem, xmem_table3
@@ -83,9 +83,9 @@ def test_multicore_splits_working_set():
 
 
 def test_xmem_capacity_scaling_preserves_paper_constraints():
-    ws = config.lines_for_paper_bytes(4 * 1024 * 1024)
-    two_mlcs = 2 * config.MLC_LINES
-    two_ways = 2 * config.LLC_WAY_LINES
+    ws = SKYLAKE_SP.lines_for_paper_bytes(4 * 1024 * 1024)
+    two_mlcs = 2 * SKYLAKE_SP.mlc_lines
+    two_ways = 2 * SKYLAKE_SP.llc_way_lines
     assert two_mlcs < ws < two_ways
 
 
@@ -162,7 +162,7 @@ def test_spec_profiles_cover_table2():
 
 
 def test_spec_antagonists_have_streaming_signature():
-    llc_lines = config.LLC_SETS * config.LLC_WAYS
+    llc_lines = SKYLAKE_SP.llc_sets * SKYLAKE_SP.llc_ways
     for name in ("bwaves", "lbm"):
         assert SPEC_PROFILES[name].working_set_lines > llc_lines
 

@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
-"""Inspect JSONL traces written by ``--trace``, ``write_jsonl``, or a
-worker trace spool.
+"""Inspect JSONL traces written by ``--trace`` or ``write_jsonl``.
 
 Usage::
 
     python tools/obsv.py summary runs/trace.jsonl
-    python tools/obsv.py summary runs/spool/job-abc123/         # a spool dir
     python tools/obsv.py summary worker1.jsonl worker2.jsonl    # merged
     python tools/obsv.py timeline runs/trace.jsonl --kind decision --limit 40
     python tools/obsv.py timeline runs/trace.jsonl --epoch 12
     python tools/obsv.py explain-epoch runs/trace.jsonl 12
     python tools/obsv.py explain-epoch runs/trace.jsonl --find reallocate
-    python tools/obsv.py tail runs/spool/job-abc123/ -n 20
-    python tools/obsv.py tail runs/spool/job-abc123/ --follow
+    python tools/obsv.py tail runs/trace.jsonl -n 20
 
-Every command accepts one or more JSONL files *or* spool directories
-(the per-worker shard directories a service worker writes); multiple
-sources are merged into one stream ordered by ``(ts, pid, seq)``.
+Every command accepts one or more JSONL files; multiple files are merged
+into one stream ordered by ``(ts, pid, seq)``.
 
 ``summary`` prints event counts per kind and the controller-decision
 tally.  ``timeline`` lists events (filter by kind and/or epoch).
@@ -24,9 +20,7 @@ tally.  ``timeline`` lists events (filter by kind and/or epoch).
 decisions the controller took and the sanitized telemetry inputs and
 thresholds behind each; with ``--find ACTION`` it locates the first epoch
 containing that action and explains it (exit 1 when nothing matches).
-``tail`` shows the newest events; with ``--follow`` it polls a live
-spool directory and streams events as worker shards land (Ctrl-C or
-``--max-seconds`` to stop).
+``tail`` shows the newest events.
 """
 
 from __future__ import annotations
@@ -42,25 +36,18 @@ sys.path.insert(
 
 from repro.obsv.audit import Decision  # noqa: E402
 from repro.obsv.export import read_jsonl  # noqa: E402
-from repro.obsv.spool import follow_spool, read_spool  # noqa: E402
 from repro.obsv.tracer import KIND_DECISION, TraceEvent  # noqa: E402
 
 
 def _load(sources: List[str]) -> List[TraceEvent]:
-    """Events from files and/or spool directories, as one ordered stream.
+    """Events from one or more JSONL files, as one ordered stream.
 
-    A single plain file keeps its recorded order (legacy traces have no
-    pid/seq stamps to sort by); anything involving a directory or more
-    than one source merges by ``(ts, pid, seq)``."""
+    A single file keeps its recorded order (legacy traces have no pid/seq
+    stamps to sort by); several files merge by ``(ts, pid, seq)``."""
     events: List[TraceEvent] = []
-    merged = len(sources) > 1
     for source in sources:
-        if os.path.isdir(source):
-            events.extend(read_spool(source))
-            merged = True
-        else:
-            events.extend(read_jsonl(source))
-    if merged:
+        events.extend(read_jsonl(source))
+    if len(sources) > 1:
         events.sort(key=lambda e: (e.ts, e.pid, e.seq))
     return events
 
@@ -161,36 +148,11 @@ def cmd_explain_epoch(events: List[TraceEvent], args) -> int:
 
 
 def cmd_tail(events: List[TraceEvent], args) -> int:
-    """The newest events; with --follow, stream a live spool directory."""
+    """The newest events."""
     if args.kind is not None:
         events = [e for e in events if e.kind == args.kind]
     for event in events[-args.lines:] if args.lines else events:
         print(_fmt_event(event))
-    if not args.follow:
-        return 0
-    spools = [s for s in args.trace if os.path.isdir(s)]
-    if not spools:
-        print("--follow needs a spool directory", file=sys.stderr)
-        return 2
-    if len(spools) > 1:
-        print("--follow tails one spool directory at a time", file=sys.stderr)
-        return 2
-    # Already-printed shards would repeat: the follower re-reads the
-    # directory from scratch.  Skip events we have shown above.
-    shown = {(e.pid, e.seq) for e in events}
-    try:
-        for event in follow_spool(
-            spools[0],
-            poll_interval=args.interval,
-            max_seconds=args.max_seconds,
-        ):
-            if (event.pid, event.seq) in shown:
-                continue
-            if args.kind is not None and event.kind != args.kind:
-                continue
-            print(_fmt_event(event), flush=True)
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -198,8 +160,7 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "trace",
         nargs="+",
-        help="JSONL trace file(s) and/or spool director(ies); multiple "
-        "sources merge by (ts, pid, seq)",
+        help="JSONL trace file(s); multiple files merge by (ts, pid, seq)",
     )
 
 
@@ -238,27 +199,13 @@ def main(argv=None) -> int:
     )
     p.set_defaults(func=cmd_explain_epoch)
 
-    p = sub.add_parser(
-        "tail", help="newest events; --follow streams a live spool"
-    )
+    p = sub.add_parser("tail", help="newest events")
     _add_trace_arg(p)
     p.add_argument(
         "-n", "--lines", type=int, default=20,
-        help="show the last N events first (0 = all)",
+        help="show the last N events (0 = all)",
     )
     p.add_argument("--kind", default=None, help="only this event kind")
-    p.add_argument(
-        "--follow", action="store_true",
-        help="keep polling a spool directory for new shards",
-    )
-    p.add_argument(
-        "--interval", type=float, default=0.25,
-        help="poll interval in seconds for --follow",
-    )
-    p.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="stop following after this many seconds (default: forever)",
-    )
     p.set_defaults(func=cmd_tail)
 
     args = parser.parse_args(argv)
