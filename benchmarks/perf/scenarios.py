@@ -258,7 +258,7 @@ def _long_horizon_config(quick: bool):
 
     Full mode is sized so the sampled run demonstrates the ISSUE-7 target
     (>=10x wall clock at <=2% error) on a stationary scenario; quick mode
-    keeps CI smoke under a few seconds with a shorter skip leash."""
+    keeps the tier-1 quick run under a few seconds with a shorter skip leash."""
     from repro.sim.sampling import SamplingPlan
 
     if quick:

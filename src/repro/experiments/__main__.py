@@ -31,15 +31,15 @@ relocates it.  The closing run report prints hit/miss counters.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-
-import os
 
 from repro import obsv
 from repro.experiments import runcache
 from repro.experiments.errors import SweepConfigError
 from repro.experiments.figures import REGISTRY
+from repro.experiments.figures.base import ENV_CHECKPOINT_DIR
 from repro.experiments.parallel import (
     FigureTask,
     dispatch_stats,
@@ -76,7 +76,31 @@ QUICK_KWARGS = {
 }
 
 
+EXPORTED_ENV = (
+    runcache.ENV_CACHE_DIR,
+    runcache.ENV_CACHE_DISABLE,
+    runcache.ENV_FAULT_INTENSITY,
+    ENV_CHECKPOINT_DIR,
+)
+"""Variables the CLI exports so pool workers inherit its settings."""
+
+
 def main(argv=None) -> int:
+    """Run the CLI, then hand back :data:`EXPORTED_ENV` as it found it, so
+    an in-process call leaves no faults, checkpointing or cache override
+    behind for whatever runs next."""
+    saved = {name: os.environ.get(name) for name in EXPORTED_ENV}
+    try:
+        return _main(argv)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -183,9 +207,7 @@ def main(argv=None) -> int:
         os.environ[runcache.ENV_FAULT_INTENSITY] = str(args.fault_intensity)
 
     if args.checkpoint_dir is not None:
-        from repro.experiments.figures import base as figures_base
-
-        os.environ[figures_base.ENV_CHECKPOINT_DIR] = args.checkpoint_dir
+        os.environ[ENV_CHECKPOINT_DIR] = args.checkpoint_dir
 
     sampling_plan = None
     if args.sample:

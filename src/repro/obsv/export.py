@@ -14,8 +14,7 @@ Three formats, all lossless where it matters:
   actually requires.
 * **Prometheus text exposition** — counters/gauges/histograms from a
   :class:`~repro.obsv.metrics.MetricsRegistry`; :func:`parse_prometheus`
-  is the matching (strict, subset) parser used by tests and the CI
-  smoke.
+  is the matching (strict, subset) parser used by the tests.
 """
 
 from __future__ import annotations
@@ -217,8 +216,7 @@ def parse_prometheus(text: str) -> Dict[str, float]:
 
     Strict about structure (raises :class:`ValueError` on a malformed
     line) but limited to the subset :func:`render_prometheus` emits —
-    enough for round-trip tests and the CI smoke's 'output parses'
-    assertion."""
+    enough for the round-trip and 'output parses' tests."""
     samples: Dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -73,3 +73,30 @@ def test_cli_no_args_shows_help():
     from repro.experiments.__main__ import main
 
     assert main([]) == 2
+
+
+def test_cli_restores_the_environment_it_exports(tmp_path, monkeypatch):
+    """The CLI exports its settings for pool workers; an in-process call
+    must hand the environment back unchanged on every return path."""
+    import os
+
+    from repro.experiments import runcache
+    from repro.experiments.__main__ import main
+    from repro.experiments.figures.base import ENV_CHECKPOINT_DIR
+    from repro.faults.plan import FaultPlan
+
+    exported = (
+        runcache.ENV_CACHE_DIR, runcache.ENV_CACHE_DISABLE,
+        runcache.ENV_FAULT_INTENSITY, ENV_CHECKPOINT_DIR,
+    )
+    monkeypatch.setenv(runcache.ENV_FAULT_INTENSITY, "0")
+    before = {name: os.environ.get(name) for name in exported}
+    flags = [
+        "--no-cache", "--fault-intensity", "0.5",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--checkpoint-dir", str(tmp_path / "ckpt"),
+    ]
+    assert main(["--list", *flags]) == 0
+    assert main(["figNope", *flags]) == 2
+    assert {name: os.environ.get(name) for name in exported} == before
+    assert FaultPlan.from_env() is None

@@ -568,6 +568,57 @@ class TestCli:
         ) == 2
 
 
+# -- artifacts of faulted runs ------------------------------------------------
+
+
+class TestFaultedRuns:
+    def test_figure_cli_writes_every_export(self, tmp_path):
+        from repro.experiments.__main__ import main
+
+        trace, chrome, prom = (
+            str(tmp_path / name)
+            for name in ("trace.jsonl", "trace.chrome.json", "metrics.prom")
+        )
+        assert main([
+            "fig8b", "--quick", "--no-cache", "--fault-intensity", "1.0",
+            "--trace", trace, "--chrome-trace", chrome, "--metrics-out", prom,
+        ]) == 0
+
+        events = export.read_jsonl(trace)
+        assert {obsv.KIND_EPOCH, obsv.KIND_MASK} <= {e.kind for e in events}
+        export.write_jsonl(events, tmp_path / "again.jsonl")
+        assert export.read_jsonl(tmp_path / "again.jsonl") == events
+        with open(chrome) as handle:
+            export.validate_chrome_trace(json.load(handle))
+        with open(prom) as handle:
+            series = export.parse_prometheus(handle.read())
+        assert any(name.startswith("repro_trace_events") for name in series)
+        assert os.path.exists(prom + ".json")
+
+    def test_chaos_reallocations_explained_from_trace(
+        self, obsv_cli, tmp_path, capsys
+    ):
+        from repro.faults.chaos import run_chaos
+
+        tracer = obsv.enable()
+        run_chaos(1.0, epochs=12, seed=3)
+        assert tracer.by_kind(obsv.KIND_FAULT)
+        reallocs = [
+            d for d in obsv.AUDIT.decisions("reallocate") if d.inputs
+        ]
+        assert len(reallocs) == 5
+
+        path = tmp_path / "chaos.jsonl"
+        export.write_jsonl(tracer.events, path)
+        assert obsv_cli.main(
+            ["explain-epoch", str(path), "--find", "reallocate"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "[reallocate]" in out
+        for key, value in reallocs[0].inputs.items():
+            assert f"{key}: {value}" in out
+
+
 # -- chrome export: multi-process streams ------------------------------------
 
 

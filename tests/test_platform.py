@@ -147,3 +147,26 @@ def test_two_servers_with_different_specs_side_by_side():
         assert run.aggregate("xmem").ipc > 0, name
     assert sky.platform.name == "skylake-sp"
     assert ice.platform.name == "icelake-sp"
+
+
+# -- the platform in a figure run and its cache key --------------------------
+
+
+def test_figure_platform_keys_the_run_cache():
+    """The explicit default preset replays the default run's entry; another
+    preset stores its own entry and changes the result."""
+    from repro.experiments import runcache
+    from repro.experiments.figures import REGISTRY
+
+    runner = REGISTRY["fig3a"]
+    cache = runcache.get_cache()
+    default = runner(epochs=4, seed=0xA4)
+    hits = cache.stats.hits
+    assert runner(epochs=4, seed=0xA4, platform="skylake-sp") == default
+    assert cache.stats.hits == hits + 1
+
+    stores = cache.stats.stores
+    alt = runner(epochs=4, seed=0xA4, platform="skylake-sp+dca3")
+    assert cache.stats.stores > stores
+    assert alt != default
+    assert len(alt.rows) == len(default.rows)

@@ -208,11 +208,14 @@ def test_registry_runners_are_cache_wrapped():
         assert runner.figure_id == figure_id
 
 
-def test_cached_figure_zero_simulation_on_warm_hit():
+@pytest.mark.parametrize("figure_id", ["fig8b", "fig3a"])
+def test_cached_figure_zero_simulation_on_warm_hit(figure_id):
     from repro.sim import engine as engine_mod
 
-    runner = REGISTRY["fig8b"]
+    runner = REGISTRY[figure_id]
+    cache = runcache.get_cache()
     cold = runner(epochs=3, seed=5)
+    assert cache.stats.stores >= 1 and cache.stats.hits == 0
 
     # Count every simulated event during the warm call by patching the
     # Simulator entry points would be invasive; instead rely on the cache
@@ -230,6 +233,7 @@ def test_cached_figure_zero_simulation_on_warm_hit():
     finally:
         engine_mod.Simulator.__init__ = original_init
     assert constructed == []  # zero simulation work
+    assert cache.stats.hits >= 1
     assert warm == cold
 
 

@@ -344,3 +344,27 @@ def test_targeted_chaos_hits_only_target():
     res = run_chaos(1.0, epochs=10, fault_tenant="lpw")
     assert sum(res.faults.values()) > 0
     assert res.ok
+
+
+# -- the ablation-tenants figure ---------------------------------------------
+
+
+def test_tenant_ablation_reports_every_tenant_and_replays():
+    from repro.experiments import runcache
+    from repro.experiments.figures import REGISTRY
+
+    ablation = REGISTRY["ablation-tenants"]
+    kwargs = dict(epochs=4, seed=0xA4, tenants=3, schemes=("a4", "ioca"))
+    report = ablation(**kwargs)
+    covered = {}
+    for row in report.rows:
+        covered.setdefault(row["scheme"], set()).add(row["tenant"])
+    assert {scheme: len(names) for scheme, names in covered.items()} == {
+        "a4": 3, "ioca": 3,
+    }
+    assert all(0.0 <= row["attainment"] <= 1.0 for row in report.rows)
+
+    cache = runcache.get_cache()
+    hits = cache.stats.hits
+    assert ablation(**kwargs) == report
+    assert cache.stats.hits == hits + 1

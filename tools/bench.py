@@ -6,7 +6,7 @@ Runs the micro/macro benchmarks under ``benchmarks/perf/``, writes a
 against the most recent previous record:
 
     python tools/bench.py                  # full run, compare, write record
-    python tools/bench.py --quick          # small sizes (CI smoke)
+    python tools/bench.py --quick          # small sizes (tier-1 runs it)
     python tools/bench.py --no-compare     # skip the regression gate
     python tools/bench.py --only canonical multi_seed
     python tools/bench.py --out /tmp/b.json --baseline BENCH_2026-08-06.json
