@@ -193,7 +193,7 @@ def bench_batched_dma(quick: bool) -> Dict[str, float]:
     """Batched twin of ``dma_write``: the same DDIO ingress traffic shaped
     the way devices actually deliver it — multi-line bursts (NIC packets,
     NVMe quanta) through ``dma_write_burst`` — so the batch-dispatch path
-    (vectorized set indices, pre-drawn recency ticks, aggregated victim
+    (inline set indices, pre-drawn recency ticks, aggregated victim
     accounting) is what gets measured.  ``events`` counts lines, making
     events/s directly comparable with ``dma_write``."""
     from perf.micro import _best_of, _make_hierarchy

@@ -412,18 +412,11 @@ class CacheHierarchy:
         mlc_hit_cycles = self._mlc_hit_cycles
         cpu_access = self.cpu_access
         n = len(addrs)
-        if batch.use_numpy(n):
-            # Vectorized set-index computation for the whole run.
-            idx = (
-                batch.np.asarray(addrs, dtype=batch.np.int64) % nmsets
-            ).tolist()
-        else:
-            idx = None
         total = 0.0
         i = 0
         while i < n:
             addr = addrs[i]
-            bucket = msets[idx[i]] if idx is not None else msets[addr % nmsets]
+            bucket = msets[addr % nmsets]
             line = bucket.get(addr)
             if line is None:
                 total += cpu_access(now, core, addr, stream, False, io_read)
@@ -443,9 +436,7 @@ class CacheHierarchy:
                 if i >= n:
                     break
                 addr = addrs[i]
-                bucket = (
-                    msets[idx[i]] if idx is not None else msets[addr % nmsets]
-                )
+                bucket = msets[addr % nmsets]
                 line = bucket.get(addr)
                 if line is None:
                     break
@@ -622,22 +613,6 @@ class CacheHierarchy:
         llc_sets = self._llc_sets
         llc_nsets = self._llc_nsets
         end = base_addr + lines
-        if batch.use_numpy(lines):
-            # Vectorized set-index computation for the whole burst.
-            addr_arr = batch.np.arange(base_addr, end, dtype=batch.np.int64)
-            llc_idx = (addr_arr % llc_nsets).tolist()
-            sf_idx = (
-                llc_idx
-                if sf_nsets == llc_nsets
-                else (addr_arr % sf_nsets).tolist()
-            )
-        else:
-            llc_idx = [a % llc_nsets for a in range(base_addr, end)]
-            sf_idx = (
-                llc_idx
-                if sf_nsets == llc_nsets
-                else [a % sf_nsets for a in range(base_addr, end)]
-            )
         dca_ways = self.llc.dca_ways
         lru_tick = self._llc_lru_tick
         ticks = list(islice(lru_tick, lines))
@@ -646,9 +621,9 @@ class CacheHierarchy:
         # victim stream -> [evictions, leaks, write-back lines]
         evictions: dict[str, list] = {}
         for offset, addr in enumerate(range(base_addr, end)):
-            if sf_sets[sf_idx[offset]].get(addr) is not None:
+            if sf_sets[addr % sf_nsets].get(addr) is not None:
                 self._invalidate_peers(now, addr, keep_core=None, silent=True)
-            wayset = llc_sets[llc_idx[offset]]
+            wayset = llc_sets[addr % llc_nsets]
             index = wayset.index
             llc_line = index.get(addr)
             if llc_line is not None:

@@ -12,10 +12,16 @@ CLOS mask rewrites, non-allocating flows, and the write-update ablation.
 Coverage spans all three platform presets and, at the end, a full server
 run with fault injection enabled.  After every operation both hierarchies
 also pass :func:`check_invariants`, which catches, among other things, a
-reused line or directory record left reachable from two places.
+reused line or directory record left reachable from two places.  The
+last test checks that a process building a figure's server never imports
+numpy, which the batched paths no longer use.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,3 +393,28 @@ def test_parity_full_server_with_faults(monkeypatch):
     scalar = run_server(False)
     batched = run_server(True)
     assert batched == scalar
+
+
+_NO_NUMPY_PROBE = """
+import sys
+import repro.experiments.__main__
+from repro.experiments.scenarios import build_server, microbenchmark_workloads
+from repro.experiments.tenants import build_tenant_server
+build_server(microbenchmark_workloads(1024), scheme="a4")
+build_tenant_server(6)
+if "numpy" in sys.modules:
+    sys.exit("the simulator imported numpy")
+"""
+
+
+def test_simulator_does_not_import_numpy():
+    """The batched paths compute set indices inline, so no process that
+    builds a figure's server should pay numpy's import cost.  A fresh
+    interpreter is needed because the test runner may import it itself."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
