@@ -12,8 +12,8 @@ Registered benchmarks:
 * ``multi_seed``            — the paper's five-iteration methodology (§6)
   through :func:`repro.experiments.sweep.run_repeated`, serial loop;
   events are the *simulated* event count summed across seeds;
-* ``multi_seed_parallel``   — the same sweep forced through the warm
-  process pool, so the pool path is benchmarked too;
+* ``multi_seed_parallel``   — the same sweep forced through a process
+  pool (at least two workers), so the pool path is benchmarked too;
 * ``cached_figure``         — a figure runner cold (simulating, populating
   a temp cache) then warm (pure cache replay); ``wall_s`` is the warm
   replay and ``cold_s``/``speedup`` record the win;
@@ -97,10 +97,10 @@ def _multi_seed(quick: bool, parallel: bool) -> Dict[str, float]:
     kwargs = {}
     mode = "serial"
     if parallel:
-        # Force at least two workers so the pool path is exercised even on
-        # single-CPU hosts (resolve_workers would otherwise fall back).
+        # At least two workers, so the pool path is exercised even on
+        # single-CPU hosts (``jobs=1`` would run the seeds serially).
         workers = max(2, os.cpu_count() or 1)
-        kwargs = {"parallel": True, "max_workers": workers}
+        kwargs = {"jobs": workers}
         mode = f"parallel:{workers}"
     started = time.perf_counter()
     result = run_repeated(

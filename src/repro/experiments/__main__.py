@@ -40,12 +40,7 @@ from repro.experiments import runcache
 from repro.experiments.errors import SweepConfigError
 from repro.experiments.figures import REGISTRY
 from repro.experiments.figures.base import ENV_CHECKPOINT_DIR
-from repro.experiments.parallel import (
-    FigureTask,
-    dispatch_stats,
-    run_figure,
-    run_tasks,
-)
+from repro.experiments.parallel import FigureTask, run_figure, run_tasks
 from repro.platform import get_platform
 
 QUICK_KWARGS = {
@@ -82,7 +77,8 @@ EXPORTED_ENV = (
     runcache.ENV_FAULT_INTENSITY,
     ENV_CHECKPOINT_DIR,
 )
-"""Variables the CLI exports so pool workers inherit its settings."""
+"""Variables the CLI exports so pool workers inherit its settings (each
+batch's workers fork from the parent's current environment)."""
 
 
 def main(argv=None) -> int:
@@ -317,8 +313,7 @@ def _main(argv) -> int:
                         [name],
                         dca_ways=tuple(args.sweep_ways),
                         seed=args.seed,
-                        parallel=args.jobs > 1,
-                        max_workers=args.jobs if args.jobs > 1 else None,
+                        jobs=args.jobs,
                         **kwargs_for(name),
                     )
                 )
@@ -361,7 +356,7 @@ def _main(argv) -> int:
             for name in targets
         ]
         started = time.time()
-        results = run_tasks(run_figure, tasks, max_workers=args.jobs)
+        results = run_tasks(run_figure, tasks, args.jobs)
         for name, result in zip(targets, results):
             print(result.render())
             print(f"[{name}]\n")
@@ -370,7 +365,6 @@ def _main(argv) -> int:
             f"across {args.jobs} jobs]"
         )
         print(f"[run cache: {cache.stats.summary()}]")
-        print(f"[dispatch: {dispatch_stats.summary()}]")
         export_obsv()
         return 0
 

@@ -4,7 +4,10 @@ The paper averages every result over five iterations (§6).  This module
 provides the equivalent: run a server-builder or a figure runner across
 seeds and average the numeric outputs, reporting spread so users can judge
 simulation noise (the paper makes the same point about X-Mem's run-to-run
-variance in its artifact appendix).
+variance in its artifact appendix).  :func:`sweep_platforms` runs figures
+across platform presets the same way.  Every sweep takes ``jobs``: with
+``jobs > 1`` its runs fan out over that many worker processes through
+:func:`repro.experiments.parallel.run_tasks`, with identical results.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.experiments.errors import FigureShapeError, SweepConfigError
 from repro.experiments.harness import Server
 from repro.experiments.parallel import (
-    METRIC_FIELDS,
     FigureTask,
     SeedTask,
     run_figure,
@@ -32,11 +34,6 @@ DEFAULT_SEEDS = (0xA4, 0xA5, 0xA6, 0xA7, 0xA8)
 
 DEFAULT_SWEEP_PLATFORMS = ("skylake-sp", "cascadelake-sp", "icelake-sp")
 """The preset registry, in the order the sensitivity sweep visits it."""
-
-_NUMERIC_FIELDS = METRIC_FIELDS
-"""Back-compat alias; the canonical tuple lives in
-:mod:`repro.experiments.parallel` so worker processes import it without
-pulling in this module."""
 
 
 def mean(values: Sequence[float]) -> float:
@@ -82,23 +79,20 @@ def run_repeated(
     epochs: int,
     warmup: int,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
+    jobs: int = 1,
 ) -> MultiSeedResult:
     """Run ``build(seed)`` for each seed and collect metric statistics.
 
     ``build`` must return a fully configured (workloads + manager) server.
-    With ``parallel=True`` the seeds run across a process pool (``build``
-    must then be a module-level callable so it pickles); results are
-    identical to the serial path because both assemble the same per-seed
-    summaries in seed order.
+    With ``jobs > 1`` the seeds run across that many worker processes
+    (``build`` must then be a module-level callable so it pickles); results
+    are identical to the serial path because both assemble the same
+    per-seed summaries in seed order.
     """
     if not seeds:
         raise SweepConfigError("need at least one seed")
     tasks = [SeedTask(build, epochs, warmup, seed) for seed in seeds]
-    summaries = run_tasks(
-        seed_metrics, tasks, parallel=parallel, max_workers=max_workers
-    )
+    summaries = run_tasks(seed_metrics, tasks, jobs)
     per_stream: Dict[str, Dict[str, List[float]]] = {}
     mem_values: List[float] = []
     total_events = 0
@@ -126,25 +120,22 @@ def run_repeated(
 def average_figure(
     runner: Callable[..., FigureResult],
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
+    jobs: int = 1,
     **kwargs,
 ) -> FigureResult:
     """Run a figure runner once per seed and average its numeric cells.
 
     Rows are matched by position (every figure runner is deterministic in
     row order); non-numeric cells are taken from the first run.  With
-    ``parallel=True`` the seeds run across a process pool (``runner`` must
-    be module-level so it pickles).
+    ``jobs > 1`` the seeds run across that many worker processes
+    (``runner`` must be module-level so it pickles).
     """
     if not seeds:
         raise SweepConfigError("need at least one seed")
     tasks = [
         FigureTask(runner, seed, tuple(kwargs.items())) for seed in seeds
     ]
-    results = run_tasks(
-        run_figure, tasks, parallel=parallel, max_workers=max_workers
-    )
+    results = run_tasks(run_figure, tasks, jobs)
     first = results[0]
     for other in results[1:]:
         if len(other.rows) != len(first.rows):
@@ -217,8 +208,7 @@ def sweep_platforms(
     dca_ways: Sequence[int] = (),
     dca_base: str = "skylake-sp",
     seed: int = 0xA4,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
+    jobs: int = 1,
     **kwargs,
 ) -> Dict[Tuple[str, str], FigureResult]:
     """Run each figure on each platform (presets × DCA-way variants).
@@ -226,7 +216,7 @@ def sweep_platforms(
     ``dca_ways`` appends ``dca_base+dcaN`` variants — the paper's "what if
     DDIO had N ways" question — to the platform list.  Results come back as
     an insertion-ordered ``{(figure_id, platform_name): FigureResult}``;
-    with ``parallel=True`` the cells fan out over the shared process pool
+    with ``jobs > 1`` the cells fan out over that many worker processes
     (identical results either way, same guarantee as ``run_repeated``).
     """
     from repro.experiments.figures import REGISTRY
@@ -248,110 +238,11 @@ def sweep_platforms(
         for figure_id in figures
         for name in names
     ]
-    results = run_tasks(
-        run_platform_figure, tasks, parallel=parallel, max_workers=max_workers
-    )
+    results = run_tasks(run_platform_figure, tasks, jobs)
     return {
         (task.figure_id, task.platform): result
         for task, result in zip(tasks, results)
     }
-
-
-# -- tenant populations ----------------------------------------------------
-
-
-DEFAULT_TENANT_SCHEMES = ("a4", "ioca", "isolate")
-"""The tenant ablation's comparison set: the paper's scheme, the IOCA
-per-tenant baseline, and static CAT."""
-
-
-@dataclass(frozen=True)
-class TenantCellTask:
-    """One (tenant count, scheme) cell of a tenant-population sweep.
-
-    Frozen + field types all primitive, so it pickles cheaply into the
-    shared process pool (the same shape as :class:`PlatformTask`)."""
-
-    tenants: int
-    scheme: str
-    seed: int
-    epochs: int
-    platform: Optional[str] = None
-
-
-def run_tenant_cell(task: TenantCellTask) -> List:
-    """Worker entry point: one generated population under one scheme.
-
-    Returns the per-tenant :class:`~repro.experiments.report.TenantSlo`
-    rows (frozen dataclasses — picklable back through the pool)."""
-    from repro.experiments.tenants import build_tenant_server, evaluate_slos
-
-    server = build_tenant_server(
-        task.tenants,
-        scheme=task.scheme,
-        seed=task.seed,
-        platform=task.platform,
-    )
-    result = server.run(epochs=task.epochs)
-    return evaluate_slos(result, server.tenants())
-
-
-def tenant_sweep(
-    counts: Sequence[int] = (2, 4, 6),
-    schemes: Sequence[str] = DEFAULT_TENANT_SCHEMES,
-    seed: int = 0xA4,
-    epochs: int = 10,
-    platform: Optional[str] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-) -> Dict[Tuple[int, str], List]:
-    """Run every (tenant count, scheme) cell, optionally through the pool.
-
-    Each count draws its population once (same seed), so all schemes in a
-    column face the identical tenants; results come back insertion-ordered
-    as ``{(count, scheme): [TenantSlo, ...]}``.
-    """
-    if not counts or not schemes:
-        raise SweepConfigError("need at least one tenant count and scheme")
-    tasks = [
-        TenantCellTask(n, scheme, seed, epochs, platform)
-        for n in counts
-        for scheme in schemes
-    ]
-    results = run_tasks(
-        run_tenant_cell, tasks, parallel=parallel, max_workers=max_workers
-    )
-    return {
-        (task.tenants, task.scheme): rows
-        for task, rows in zip(tasks, results)
-    }
-
-
-def tenant_sweep_summary(
-    results: Dict[Tuple[int, str], List],
-) -> FigureResult:
-    """Condense a :func:`tenant_sweep`: SLOs met and mean attainment per
-    (tenant count, scheme) cell."""
-    summary = FigureResult(
-        figure="Tenant sweep",
-        title="SLO attainment per tenant count and scheme",
-        columns=["tenants", "scheme", "slos_met", "slos_total",
-                 "mean_attainment"],
-    )
-    for (count, scheme), rows in results.items():
-        with_slo = [r for r in rows if r.slo_p99_latency is not None
-                    or r.slo_min_throughput is not None]
-        summary.add_row(
-            tenants=count,
-            scheme=scheme,
-            slos_met=sum(1 for r in with_slo if r.met),
-            slos_total=len(with_slo),
-            mean_attainment=(
-                sum(r.attainment for r in with_slo) / len(with_slo)
-                if with_slo else 1.0
-            ),
-        )
-    return summary
 
 
 def platform_sweep_summary(

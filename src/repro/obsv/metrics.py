@@ -4,8 +4,8 @@ Naming conventions (enforced by habit, checked by review, documented in
 ``docs/observability.md``):
 
 * every metric is prefixed ``repro_``;
-* second token is the owning subsystem (``runcache``, ``dispatch``,
-  ``manager``, ``faults``, ``epoch``, ``trace``, ``profile``);
+* second token is the owning subsystem (``runcache``, ``manager``,
+  ``faults``, ``epoch``, ``trace``, ``profile``);
 * monotonically increasing counts end in ``_total``; point-in-time
   values carry a unit suffix (``_seconds``, ``_events``) where one
   exists;
@@ -278,10 +278,10 @@ def set_registry(registry: Optional[MetricsRegistry]) -> None:
 
 
 def collect_process(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Pull the scattered process-wide stats into the registry: run-cache
-    hit/miss accounting and pool-dispatch incidents.  Imports lazily so
-    this low-level module never drags the experiment stack in."""
-    from repro.experiments import parallel, runcache
+    """Pull the process-wide run-cache hit/miss accounting into the
+    registry.  Imports lazily so this low-level module never drags the
+    experiment stack in."""
+    from repro.experiments import runcache
 
     registry = registry or get_registry()
     cache = runcache.get_cache()
@@ -293,11 +293,6 @@ def collect_process(registry: Optional[MetricsRegistry] = None) -> MetricsRegist
     registry.gauge(
         "repro_runcache_enabled", help="1 when the run cache is on"
     ).set(int(cache.enabled))
-    for name, value in counts_of(parallel.dispatch_stats).items():
-        registry.gauge(
-            f"repro_dispatch_{name}_total",
-            help=f"pool-dispatch {name} this process",
-        ).set(value)
     return registry
 
 

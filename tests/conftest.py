@@ -22,16 +22,11 @@ def _isolated_run_cache(tmp_path, monkeypatch):
     entries another test (or a real figure run) stored."""
     from repro.experiments import runcache
 
-    from repro.experiments import parallel
-
     monkeypatch.setenv(runcache.ENV_CACHE_DIR, str(tmp_path / "repro-cache"))
     monkeypatch.delenv(runcache.ENV_CACHE_DISABLE, raising=False)
     runcache.set_cache(None)  # re-init from env on next use
     yield
     runcache.set_cache(None)
-    # Warm pool workers captured this test's cache env at spawn; drop them
-    # so the next test gets workers pointed at its own temp dir.
-    parallel.shutdown_pool()
 
 
 @pytest.fixture(autouse=True)

@@ -206,7 +206,6 @@ class TestMergeHelpers:
         names = {name for name, _, _ in registry.items()}
         assert "repro_runcache_hits_total" in names
         assert "repro_runcache_enabled" in names
-        assert "repro_dispatch_timeouts_total" in names
 
     def test_collect_robustness_labels_by_manager(self):
         registry = metrics.collect_robustness(

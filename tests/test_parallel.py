@@ -1,11 +1,11 @@
 """Tests for the process-pool sweep runner and the bench harness smoke.
 
-The equivalence tests force ``parallel=True`` with an explicit
-``max_workers`` so the pool path is exercised even on single-CPU hosts
-(where callers would normally fall back to serial).
+The equivalence tests pass ``jobs=2`` so the pool path is exercised even
+on single-CPU hosts, and compare it with the default serial ``jobs=1``.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     FigureTask,
     ParallelExecutionError,
     SeedTask,
-    resolve_workers,
     run_tasks,
     seed_metrics,
 )
@@ -46,8 +45,8 @@ def _fail_on_negative(value):
 
 def test_run_tasks_preserves_order_serial_and_parallel():
     tasks = list(range(6))
-    serial = run_tasks(_fail_on_negative, tasks, parallel=False)
-    pooled = run_tasks(_fail_on_negative, tasks, parallel=True, max_workers=2)
+    serial = run_tasks(_fail_on_negative, tasks)
+    pooled = run_tasks(_fail_on_negative, tasks, jobs=2)
     assert serial == pooled == [0, 2, 4, 6, 8, 10]
 
 
@@ -55,15 +54,10 @@ def test_run_tasks_empty():
     assert run_tasks(_fail_on_negative, []) == []
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_run_tasks_captures_every_failure(parallel):
+@pytest.mark.parametrize("pooled", [False, True])
+def test_run_tasks_captures_every_failure(pooled):
     with pytest.raises(ParallelExecutionError) as excinfo:
-        run_tasks(
-            _fail_on_negative,
-            [1, -1, 2, -2],
-            parallel=parallel,
-            max_workers=2,
-        )
+        run_tasks(_fail_on_negative, [1, -1, 2, -2], jobs=2 if pooled else 1)
     failures = excinfo.value.failures
     assert [f.index for f in failures] == [1, 3]
     assert "negative input -1" in failures[0].error
@@ -71,43 +65,55 @@ def test_run_tasks_captures_every_failure(parallel):
     assert "ValueError" in str(excinfo.value)
 
 
-def test_warm_pool_reused_across_batches():
-    """Consecutive same-width batches share one executor (warm pool)."""
-    from repro.experiments import parallel as par
+def _fault_intensity(_):
+    from repro.experiments.runcache import ENV_FAULT_INTENSITY
 
-    run_tasks(_fail_on_negative, [1, 2, 3, 4], parallel=True, max_workers=2)
-    first_pool = par._pool
-    assert first_pool is not None
-    run_tasks(_fail_on_negative, [5, 6, 7, 8], parallel=True, max_workers=2)
-    assert par._pool is first_pool
-    # A different width tears down and replaces the executor.
-    run_tasks(_fail_on_negative, [1, 2, 3], parallel=True, max_workers=3)
-    assert par._pool is not first_pool
-    par.shutdown_pool()
-    assert par._pool is None
+    return os.environ.get(ENV_FAULT_INTENSITY)
 
 
-def test_failures_carry_category():
-    from repro.experiments.errors import WorkloadConfigError
+def test_pool_workers_see_the_current_environment(monkeypatch):
+    """Each batch's workers start from the parent's environment as it is
+    when the batch runs, so a setting exported between batches (as the CLI
+    does for ``--fault-intensity``) reaches the next one."""
+    from repro.experiments.runcache import ENV_FAULT_INTENSITY
 
-    def boom(task):
-        if task == "config":
-            raise WorkloadConfigError("bad workload")
-        raise OSError("disk on fire")
-
-    with pytest.raises(ParallelExecutionError) as excinfo:
-        run_tasks(boom, ["config", "other"], parallel=False)
-    categories = {f.task: f.category for f in excinfo.value.failures}
-    assert categories == {"config": "config", "other": "runtime"}
-    assert excinfo.value.categories() == {"config": 1, "runtime": 1}
-    assert "[config]" in str(excinfo.value)
+    monkeypatch.delenv(ENV_FAULT_INTENSITY, raising=False)
+    assert run_tasks(_fault_intensity, [0, 1], jobs=2) == [None, None]
+    monkeypatch.setenv(ENV_FAULT_INTENSITY, "0.3")
+    assert run_tasks(_fault_intensity, [0, 1], jobs=2) == ["0.3", "0.3"]
 
 
-def test_resolve_workers():
-    assert resolve_workers(10, max_workers=4) == 4
-    assert resolve_workers(2, max_workers=8) == 2
-    assert resolve_workers(5, max_workers=0) == 1
-    assert resolve_workers(0, max_workers=None) == 1
+def _die_if_pooled(parent_pid):
+    """SIGKILL the process when run in a pool worker; harmless in-parent.
+
+    Lets one batch both break the executor (worker side) and complete
+    (parent-side serial fallback)."""
+    import signal
+
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return parent_pid * 2
+
+
+def test_dead_worker_reruns_batch_serially():
+    parent = os.getpid()
+    results = run_tasks(_die_if_pooled, [parent, parent], jobs=2)
+    assert results == [parent * 2] * 2
+    # The next batch gets a fresh, working pool.
+    assert run_tasks(_fail_on_negative, [3, 4], jobs=2) == [6, 8]
+
+
+def test_worker_cache_lookups_reach_parent_stats():
+    """Run-cache lookups made in pool workers are merged into the parent's
+    stats, so the CLI's closing hit/miss report covers them."""
+    from repro.experiments import runcache
+
+    stats = runcache.get_cache().stats
+    tasks = [SeedTask(build, 3, 1, seed) for seed in (21, 22)]
+    run_tasks(seed_metrics, tasks, jobs=2)
+    assert (stats.hits, stats.misses, stats.stores) == (0, 2, 2)
+    run_tasks(seed_metrics, tasks, jobs=2)
+    assert stats.hits == 2
 
 
 # -- equivalence: serial vs parallel ---------------------------------------
@@ -123,9 +129,7 @@ def test_run_repeated_parallel_matches_serial(cached, monkeypatch):
         runcache.set_cache(None)
     seeds = (1, 2, 3)
     serial = run_repeated(build, epochs=3, warmup=1, seeds=seeds)
-    pooled = run_repeated(
-        build, epochs=3, warmup=1, seeds=seeds, parallel=True, max_workers=2
-    )
+    pooled = run_repeated(build, epochs=3, warmup=1, seeds=seeds, jobs=2)
     assert serial == pooled  # bit-identical MultiSeedResult
     assert pooled.seeds == seeds
     assert pooled.total_events > 0
@@ -139,9 +143,7 @@ def test_average_figure_parallel_matches_serial():
     from repro.experiments.figures import fig8
 
     serial = average_figure(fig8.run_fig8b, seeds=(1, 2), epochs=4)
-    pooled = average_figure(
-        fig8.run_fig8b, seeds=(1, 2), parallel=True, max_workers=2, epochs=4
-    )
+    pooled = average_figure(fig8.run_fig8b, seeds=(1, 2), jobs=2, epochs=4)
     assert pooled.rows == serial.rows
     assert pooled.title == serial.title
     assert pooled.columns == serial.columns
@@ -178,6 +180,23 @@ def test_task_descriptors_pickle():
     assert pickle.loads(pickle.dumps(fig_task)) == fig_task
 
 
+def test_multi_figure_jobs_cli_matches_serial(capsys):
+    """``--jobs 2`` over several figures takes the CLI's ``run_tasks``
+    branch; its tables must equal the serial loop's."""
+    from repro.experiments.__main__ import main
+
+    def tables(argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if not line.startswith("[")]
+
+    argv = ["ablation-migration", "ablation-trash-floor", "--quick", "--no-cache"]
+    serial = tables(argv)
+    pooled = tables(argv + ["--jobs", "2"])
+    assert pooled == serial
+    assert len(serial) > 10
+
+
 # -- bench harness smoke ---------------------------------------------------
 
 
@@ -205,152 +224,3 @@ def test_bench_quick_emits_valid_record(tmp_path):
     for name, entry in record["results"].items():
         assert entry["wall_s"] > 0, name
         assert entry["events_per_s"] > 0, name
-
-
-# -- dispatch hardening ----------------------------------------------------
-
-
-def _sleep_in_worker(task):
-    """Sleeps only inside a pool worker, so the in-parent retry is instant."""
-    import multiprocessing
-    import time
-
-    if multiprocessing.parent_process() is not None:
-        time.sleep(30)
-    return task * 10
-
-
-def test_timed_out_chunk_is_retried_serially_in_parent():
-    from repro.experiments import parallel as par
-
-    par.dispatch_stats.reset()
-    results = run_tasks(
-        _sleep_in_worker,
-        [1, 2],
-        parallel=True,
-        max_workers=2,
-        task_timeout=1.0,
-    )
-    assert results == [10, 20]  # every stranded task recovered, in order
-    assert par.dispatch_stats.timeouts >= 1
-    assert par.dispatch_stats.retried_tasks == 2
-    assert par._pool is None  # the wedged pool was abandoned
-    assert "retried" in par.dispatch_stats.summary()
-
-
-def test_zero_timeout_disables_dispatch_deadline(monkeypatch):
-    from repro.experiments import parallel as par
-
-    monkeypatch.setenv(par.ENV_TASK_TIMEOUT, "0")
-    assert par._resolve_timeout(None) is None
-    monkeypatch.setenv(par.ENV_TASK_TIMEOUT, "2.5")
-    assert par._resolve_timeout(None) == 2.5
-    assert par._resolve_timeout(7.0) == 7.0  # explicit arg wins
-    monkeypatch.delenv(par.ENV_TASK_TIMEOUT)
-    assert par._resolve_timeout(None) == par.DEFAULT_TASK_TIMEOUT
-
-
-def test_failures_carry_config_digest():
-    from repro.experiments.parallel import task_digest
-
-    with pytest.raises(ParallelExecutionError) as excinfo:
-        run_tasks(_fail_on_negative, [3, -7], parallel=False)
-    failure = excinfo.value.failures[0]
-    assert failure.digest == task_digest(-7)
-    assert len(failure.digest) == 12
-    assert f"(config {failure.digest})" in str(excinfo.value)
-
-
-def test_task_digest_matches_runcache_fingerprint():
-    from repro.experiments.parallel import task_digest
-    from repro.experiments.runcache import fingerprint
-
-    task = SeedTask(build=build, seed=7, epochs=4, warmup=1)
-    assert task_digest(task) == fingerprint(task)[:12]
-
-    class Undigestable:
-        __slots__ = ()
-
-        def __repr__(self):
-            raise RuntimeError("no canonical form")
-
-    # Unfingerprintable payloads degrade to a marker instead of raising.
-    assert task_digest(Undigestable()) == "unfingerprintable"
-
-
-# -- broken-pool recycling / dispatch backoff -------------------------------
-
-
-def _die_if_pooled(parent_pid):
-    """SIGKILL the process when run in a pool worker; harmless in-parent.
-
-    Lets one batch both break the executor (worker side) and complete
-    (parent-side serial fallback)."""
-    import os
-    import signal
-
-    if os.getpid() != parent_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return parent_pid * 2
-
-
-def test_broken_pool_is_recycled_and_batch_recovers(monkeypatch):
-    import os
-
-    from repro.experiments import parallel as par
-
-    monkeypatch.setattr(par, "BACKOFF_BASE_S", 0.01)
-    monkeypatch.setattr(par, "BACKOFF_CAP_S", 0.01)
-    par.dispatch_stats.reset()
-    parent = os.getpid()
-    # Two tasks so the effective worker count stays > 1 (a one-task batch
-    # would short-circuit to the serial path and never touch the pool).
-    results = run_tasks(
-        _die_if_pooled, [parent, parent], parallel=True, max_workers=2
-    )
-    assert results == [parent * 2] * 2  # serial fallback completed the batch
-    assert par.dispatch_stats.broken_pools == 1
-    assert par.dispatch_stats.pool_recycles == 1
-    assert par.dispatch_stats.backoff_seconds > 0  # backoff was applied
-    assert par._pool is not None  # a warm replacement pool is up
-    assert not par._pool._broken
-    assert "1 pool recycles" in par.dispatch_stats.summary()
-    # The recycled pool is immediately usable.
-    assert run_tasks(
-        _fail_on_negative, [3, 4], parallel=True, max_workers=2
-    ) == [6, 8]
-
-
-def test_recycle_if_broken_is_a_noop_on_healthy_pools():
-    from repro.experiments import parallel as par
-
-    par.dispatch_stats.reset()
-    par.shutdown_pool()
-    assert par.recycle_if_broken() is False  # no pool at all
-    pool = par.get_pool(2)
-    assert par.recycle_if_broken() is False  # healthy pool untouched
-    assert par._pool is pool
-    assert par.dispatch_stats.pool_recycles == 0
-
-
-def test_dispatch_backoff_is_deterministic_and_counted():
-    from repro.experiments import parallel as par
-
-    delay = par.backoff_delay(1, "batch")
-    assert delay == par.backoff_delay(1, "batch")
-    assert 0.15 <= delay <= 0.25  # base 0.2s within the 25% jitter band
-    before = par.dispatch_stats.backoff_seconds
-    par._backoff(0, token="x")  # zero failures: no delay, nothing logged
-    assert par.dispatch_stats.backoff_seconds == before
-
-
-def test_backoff_delay_schedule_is_pinned():
-    """Base 0.2 s doubling per attempt, capped at 5 s before a +/-25%
-    jitter hashed from (token, attempt): exact values, so a change to the
-    schedule cannot slip through."""
-    from repro.experiments.parallel import backoff_delay
-
-    assert backoff_delay(1, "batch") == 0.21755326280105108
-    assert backoff_delay(3, "x") == 0.8830161696021279
-    assert backoff_delay(7, "cap") == 6.014378726721663  # capped, then +20%
-    assert backoff_delay(0, "x") == 0.0

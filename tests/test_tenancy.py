@@ -5,7 +5,7 @@ fault injection."""
 
 import pytest
 
-from repro.experiments.errors import ConfigError, classify
+from repro.experiments.errors import ConfigError
 from repro.experiments.scenarios import (
     build_server,
     chaos_workloads,
@@ -201,15 +201,6 @@ def test_validate_rejects_total_over_platform():
 def test_build_server_raises_config_error_before_setup():
     with pytest.raises(ConfigError):
         build_server(microbenchmark_workloads(), cores=4)
-
-
-def test_config_error_classifies_as_config():
-    try:
-        build_server(microbenchmark_workloads(), cores=4)
-    except ConfigError as exc:
-        assert classify(exc) == "config"
-    else:  # pragma: no cover
-        pytest.fail("expected ConfigError")
 
 
 # -- IOCA FSM units --------------------------------------------------------
