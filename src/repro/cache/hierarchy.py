@@ -144,6 +144,7 @@ class CacheHierarchy:
         "_sf_nsets",
         "_batching",
         "_spare_entry",
+        "_spare_line",
     )
 
     def __init__(
@@ -194,6 +195,9 @@ class CacheHierarchy:
         self._spare_entry: Optional[DirectoryEntry] = None
         # A directory entry the last MLC eviction freed, reused by the
         # next fill that needs a new one (see _fill_mlc).
+        self._spare_line: Optional[LlcLine] = None
+        # Likewise the LLC record a victim-cache hit removed (LRU fast
+        # path only: its policy metadata is empty, its holders cleared).
 
     def set_batching(self, enabled: bool) -> None:
         """Toggle batched dispatch for this hierarchy (parity tests and the
@@ -330,11 +334,18 @@ class CacheHierarchy:
             else:
                 # Regular non-inclusive victim-cache hit: the line transfers
                 # to the reader's MLC and the LLC copy is invalidated.
-                self._detach_llc_line(llc_line)
-                llc.remove(llc_line)
-                self._fill_mlc(
-                    now, core, addr, stream, dirty=llc_line.dirty, io=False
-                )
+                # Inlined LastLevelCache.remove; on the LRU fast path the
+                # now unreferenced record waits for _fill_mlc to reuse it.
+                if llc_line.holders:
+                    self._detach_llc_line(llc_line)
+                slots = wayset.slots
+                if slots[llc_line.way] is not llc_line:
+                    raise ValueError("line is not resident where it claims to be")
+                slots[llc_line.way] = None
+                del wayset.index[addr]
+                if lru_tick is not None:
+                    self._spare_line = llc_line
+                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False)
             return self._llc_hit_cycles
 
         entry = self._sf_sets[addr % self._sf_nsets].get(addr)
@@ -818,7 +829,9 @@ class CacheHierarchy:
         becomes the new MLC line once its fields are read, a directory
         entry freed by the eviction is kept in one spare slot for the next
         fill, and on the LRU fast path an LLC victim with no holders (hence
-        unreferenced, with empty policy metadata) becomes the new LLC line.
+        unreferenced, with empty policy metadata) becomes the new LLC line;
+        failing that, so does the record a victim-cache hit left in
+        ``_spare_line``.
         """
         mlc = self.mlcs[core]
         bucket = mlc._sets[addr % mlc.sets]
@@ -972,7 +985,17 @@ class CacheHierarchy:
                 victim.lru = next(lru_tick)
                 index[addr] = victim
                 return
-        line = LlcLine(addr, vstream, way, vdirty, vio, vio)
+        line = self._spare_line
+        if line is None:
+            line = LlcLine(addr, vstream, way, vdirty, vio, vio)
+        else:
+            self._spare_line = None
+            line.addr = addr
+            line.stream = vstream
+            line.way = way
+            line.dirty = vdirty
+            line.io = vio
+            line.consumed = vio
         line.lru = next(lru_tick)
         slots[way] = line
         index[addr] = line

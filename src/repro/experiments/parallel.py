@@ -18,7 +18,8 @@ Design constraints, in order of importance:
   (:func:`seed_metrics`, :func:`run_figure`, :func:`_run_one`) are
   module-level functions.
 * **Serial by default.**  ``jobs <= 1`` (the default everywhere) or a
-  single task runs a plain loop in the calling process — no pool.
+  single task runs a plain loop in the calling process — no pool, and
+  ``concurrent.futures`` is not even imported.
 * **Per-task error capture.**  A failing task does not abort its siblings;
   every task runs to completion and failures are re-raised together as a
   :class:`ParallelExecutionError` carrying per-task tracebacks.
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import functools
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -216,6 +215,10 @@ def run_tasks(
     if jobs <= 1 or len(tasks) <= 1:
         outcomes = _run_serial(fn, tasks)
     else:
+        # Imported here: a serial run never pays for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
                 run_one = functools.partial(_run_one, fn)

@@ -68,6 +68,8 @@ class LatencyTracker:
                 if values
             },
         )
+        # Cleared in place, never rebound: PhasedWorkload's access loop
+        # holds this list and appends to it directly.
         self._samples.clear()
         self._components.clear()
         return stats

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.telemetry.pcm import KIND_CPU
 from repro.workloads.base import METRIC_IPC, Workload
-from repro.workloads.synthetic import AccessProfile
+from repro.workloads.synthetic import PATTERN_SEQUENTIAL, AccessProfile
 
 
 class _PhasedState:
@@ -96,39 +96,53 @@ class PhasedWorkload(Workload):
         # Restartable body: the original nested phase loop is flattened
         # into one dispatch loop so every yield ends an arm.  A ``None``
         # ``phase_end`` marks "start a new active phase here" — exactly
-        # where the original outer loop re-stamped it.
-        hierarchy = server.hierarchy
-        counters = server.counters.stream(self.name)
-        profile = self.profile
-        sequential = profile.pattern == "seq"
+        # where the original outer loop re-stamped it.  The loop binds its
+        # inputs once per generator start and draws addresses exactly as
+        # ``SyntheticWorkload._body`` does; latency samples go straight
+        # onto the tracker's list (which ``flush`` clears in place).
+        cpu_access = server.hierarchy.cpu_access
         sim = server.sim
-        tracker = (
-            server.pcm.tracker(self.name) if self.record_latency else None
+        counters = server.counters.stream(self.name)
+        name = self.name
+        profile = self.profile
+        sequential = profile.pattern == PATTERN_SEQUENTIAL
+        write_fraction = profile.write_fraction
+        writes = write_fraction > 0
+        compute = profile.compute_cycles
+        instructions = profile.instructions_per_access
+        getrandbits = rng.getrandbits
+        random = rng.random
+        nbits = lines.bit_length()
+        active_cycles = self.active_cycles
+        idle_cycles = self.idle_cycles
+        samples = (
+            server.pcm.tracker(name)._samples if self.record_latency else None
         )
         while True:
+            now = sim.now
             if st.phase_end is None:
                 st.flips_seen = self.flip_count
-                st.phase_end = sim.now + self.active_cycles
-            if sim.now < st.phase_end and self.flip_count == st.flips_seen:
+                st.phase_end = now + active_cycles
+            if now < st.phase_end and self.flip_count == st.flips_seen:
                 if sequential:
-                    addr = base + st.index
-                    st.index += 1
-                    if st.index >= lines:
-                        st.index = 0
+                    index = st.index
+                    addr = base + index
+                    index += 1
+                    st.index = 0 if index >= lines else index
                 else:
-                    addr = base + rng.randrange(lines)
-                write = (
-                    profile.write_fraction > 0
-                    and rng.random() < profile.write_fraction
-                )
-                latency = hierarchy.cpu_access(
-                    sim.now, core, addr, self.name, write=write
-                )
-                counters.instructions += profile.instructions_per_access
-                if tracker is not None:
-                    tracker.record(latency + profile.compute_cycles)
-                yield latency + profile.compute_cycles
+                    r = getrandbits(nbits)
+                    while r >= lines:
+                        r = getrandbits(nbits)
+                    addr = base + r
+                write = writes and random() < write_fraction
+                service = cpu_access(now, core, addr, name, write) + compute
+                counters.instructions += instructions
+                if samples is not None:
+                    if service < 0:
+                        raise ValueError("latency cannot be negative")
+                    samples.append(service)
+                yield service
                 continue
             st.phase_end = None
-            if self.idle_cycles:
-                yield self.idle_cycles
+            if idle_cycles:
+                yield idle_cycles

@@ -19,9 +19,10 @@ PATTERN_RANDOM = "rand"
 PATTERN_STRIDE = "stride"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessProfile:
-    """Memory behaviour of a synthetic workload."""
+    """Memory behaviour of a synthetic workload (immutable: the workload
+    loops bind its fields once per generator start)."""
 
     working_set_lines: int
     pattern: str = PATTERN_SEQUENTIAL
@@ -123,27 +124,45 @@ class SyntheticWorkload(Workload):
         # arm, so a rebuilt generator resumes exactly where this one left
         # off.  The per-repeat structure, access order, and RNG draw order
         # match the original nested-loop formulation bit for bit.
-        hierarchy = server.hierarchy
+        #
+        # Everything the loop reads is bound once per generator start (the
+        # profile is frozen, so no local can go stale).  A random address
+        # is drawn with the rejection loop ``Random.randrange(lines)`` runs
+        # for ``lines >= 1``, minus its call chain: same draws, same stream.
+        cpu_access = server.hierarchy.cpu_access
+        sim = server.sim
         counters = server.counters.stream(self.name)
+        name = self.name
         profile = self.profile
-        pattern = profile.pattern
+        sequential = profile.pattern == PATTERN_SEQUENTIAL
+        strided = profile.pattern == PATTERN_STRIDE
         stride = profile.stride_lines
         repeats = profile.repeats
+        write_fraction = profile.write_fraction
+        writes = write_fraction > 0
+        compute = profile.compute_cycles
+        instructions = profile.instructions_per_access
+        getrandbits = rng.getrandbits
+        random = rng.random
+        nbits = lines.bit_length()
 
         def next_addr():
             index = st.index
-            if pattern == PATTERN_SEQUENTIAL:
+            if sequential:
                 addr = base + index
                 index += 1
                 if index >= lines:
                     index = 0
-            elif pattern == PATTERN_STRIDE:
+            elif strided:
                 addr = base + index
                 index += stride
                 if index >= lines:
                     index = (index + 1) % stride  # rotate the phase
             else:
-                addr = base + rng.randrange(lines)
+                r = getrandbits(nbits)
+                while r >= lines:
+                    r = getrandbits(nbits)
+                addr = base + r
             st.index = index
             return addr
 
@@ -152,31 +171,41 @@ class SyntheticWorkload(Workload):
             # one event.  The addresses visited and the total cycles charged
             # match the per-access loop; only the event timeline coarsens
             # (all accesses of a batch land at the same ``now``).
+            cpu_access_run = server.hierarchy.cpu_access_run
             while True:
                 addrs = []
                 for _ in range(profile.batch_accesses):
-                    addr = next_addr()
-                    addrs.extend([addr] * profile.repeats)
-                latency = hierarchy.cpu_access_run(
-                    server.sim.now, core, addrs, self.name
-                )
-                counters.instructions += (
-                    profile.instructions_per_access * len(addrs)
-                )
-                yield latency + profile.compute_cycles * len(addrs)
+                    addrs.extend([next_addr()] * repeats)
+                latency = cpu_access_run(sim.now, core, addrs, name)
+                counters.instructions += instructions * len(addrs)
+                yield latency + compute * len(addrs)
 
         while True:
             if st.rep == 0:
-                st.addr = next_addr()
-            write = (
-                profile.write_fraction > 0
-                and rng.random() < profile.write_fraction
-            )
-            latency = hierarchy.cpu_access(
-                server.sim.now, core, st.addr, self.name, write=write
-            )
-            counters.instructions += profile.instructions_per_access
-            st.rep += 1
-            if st.rep >= repeats:
-                st.rep = 0
-            yield latency + profile.compute_cycles
+                # ``next_addr`` inlined: this loop runs once per access.
+                if sequential:
+                    index = st.index
+                    addr = base + index
+                    index += 1
+                    st.index = 0 if index >= lines else index
+                elif strided:
+                    index = st.index
+                    addr = base + index
+                    index += stride
+                    if index >= lines:
+                        index = (index + 1) % stride
+                    st.index = index
+                else:
+                    r = getrandbits(nbits)
+                    while r >= lines:
+                        r = getrandbits(nbits)
+                    addr = base + r
+                st.addr = addr
+            else:
+                addr = st.addr
+            write = writes and random() < write_fraction
+            latency = cpu_access(sim.now, core, addr, name, write)
+            counters.instructions += instructions
+            rep = st.rep + 1
+            st.rep = 0 if rep >= repeats else rep
+            yield latency + compute

@@ -14,7 +14,7 @@ run with fault injection enabled.  After every operation both hierarchies
 also pass :func:`check_invariants`, which catches, among other things, a
 reused line or directory record left reachable from two places.  The
 last test checks that a process building a figure's server never imports
-numpy, which the batched paths no longer use.
+numpy, which the batched paths no longer use, nor the process pool.
 """
 
 import os
@@ -162,6 +162,15 @@ def check_invariants(hierarchy):
             assert entry.holders, f"sf {addr:#x} has no holders"
             once(entry, f"sf {addr:#x}")
             once(entry.holders, f"sf {addr:#x} holders")
+    spare = hierarchy._spare_line
+    if spare is not None:
+        # The record a victim-cache hit parked for reuse is dead: in no
+        # slot (``once`` has seen every slot) and no index, and clean.
+        once(spare, "spare llc line")
+        once(spare.holders, "spare llc line holders")
+        for wayset in hierarchy.llc._sets:
+            assert all(line is not spare for line in wayset.index.values())
+        assert not spare.holders and not spare.meta
 
 
 def nvme_spans(rng):
@@ -400,17 +409,21 @@ import sys
 import repro.experiments.__main__
 from repro.experiments.scenarios import build_server, microbenchmark_workloads
 from repro.experiments.tenants import build_tenant_server
+from repro.experiments.parallel import run_tasks
 build_server(microbenchmark_workloads(1024), scheme="a4")
 build_tenant_server(6)
-if "numpy" in sys.modules:
-    sys.exit("the simulator imported numpy")
+assert run_tasks(abs, [1, -2]) == [1, 2]
+for name in ("numpy", "concurrent.futures", "multiprocessing"):
+    if name in sys.modules:
+        sys.exit(f"a serial run imported {name}")
 """
 
 
 def test_simulator_does_not_import_numpy():
     """The batched paths compute set indices inline, so no process that
-    builds a figure's server should pay numpy's import cost.  A fresh
-    interpreter is needed because the test runner may import it itself."""
+    builds a figure's server should pay numpy's import cost; nor should a
+    serial batch pay for the process pool's.  A fresh interpreter is
+    needed because the test runner may import either itself."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

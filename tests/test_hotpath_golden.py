@@ -14,7 +14,10 @@ Two kinds of run are pinned:
   through small hierarchies of every platform preset and of the
   behavioural ablations, once with batching on and once off;
 * the epoch samples of Fig. 11's a4 / 1024 B cell (DPDK-T, FIO and
-  X-Mem 1-3 under A4), 3 epochs with 1 warm-up, at two seeds.
+  X-Mem 1-3 under A4), 3 epochs with 1 warm-up, at two seeds;
+* the epoch samples of a seeded 6-tenant population under A4 (the
+  phased tenant loop, with per-access latency recording), 3 epochs with
+  1 warm-up, at two seeds.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from dataclasses import astuple
 import pytest
 
 from repro.experiments.scenarios import build_server, microbenchmark_workloads
+from repro.experiments.tenants import build_tenant_server
 from repro.platform import CASCADELAKE_SP, ICELAKE_SP, SKYLAKE_SP
 from repro.telemetry.counters import COUNTER_FIELDS
 from tests.test_batch_parity import make_ops, run_once
@@ -124,3 +128,16 @@ def test_fig11_cell_golden(seed):
     )
     result = server.run(epochs=3, warmup=1)
     assert sample_digest(result.samples) == FIG11_GOLDENS[seed]
+
+
+TENANT_GOLDENS = {
+    0xA4: "e254d7ef2b729f6437de2988f5262f34a8a3aac7c923304031a695154252ec40",
+    0x5EED: "76dd7fadfdf17e5ed22f8956ec4e7a9e5c409798ef7eff578f0c1efa60998630",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TENANT_GOLDENS), ids=hex)
+def test_tenant_population_golden(seed):
+    server = build_tenant_server(6, scheme="a4", seed=seed)
+    result = server.run(epochs=3, warmup=1)
+    assert sample_digest(result.samples) == TENANT_GOLDENS[seed]
