@@ -17,7 +17,13 @@ Two kinds of run are pinned:
   X-Mem 1-3 under A4), 3 epochs with 1 warm-up, at two seeds;
 * the epoch samples of a seeded 6-tenant population under A4 (the
   phased tenant loop, with per-access latency recording), 3 epochs with
-  1 warm-up, at two seeds.
+  1 warm-up, at two seeds;
+* the epoch samples of the I/O variants Fig. 11's cell never runs — the
+  DPDK-NT and forwarding consumers, FIO's buffered copy, a NIC port with
+  DCA off, the write-update ablation, an SRRIP LLC, and a manager-less
+  DPDK + FIO server under interval sampling (whose skips shift ring and
+  NVMe command timestamps) — 3 epochs with 1 warm-up (the sampled run:
+  8 epochs, half of them skipped), at two seeds.
 """
 
 import hashlib
@@ -27,10 +33,18 @@ from dataclasses import astuple
 
 import pytest
 
+from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.llc import LlcConfig
+from repro.experiments.figures.base import run_setup
+from repro.experiments.harness import Server
 from repro.experiments.scenarios import build_server, microbenchmark_workloads
 from repro.experiments.tenants import build_tenant_server
 from repro.platform import CASCADELAKE_SP, ICELAKE_SP, SKYLAKE_SP
+from repro.sim.sampling import SamplingPlan
 from repro.telemetry.counters import COUNTER_FIELDS
+from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
+from repro.workloads.dpdk import DpdkWorkload
+from repro.workloads.fio import FioWorkload
 from tests.test_batch_parity import make_ops, run_once
 
 
@@ -141,3 +155,98 @@ def test_tenant_population_golden(seed):
     server = build_tenant_server(6, scheme="a4", seed=seed)
     result = server.run(epochs=3, warmup=1)
     assert sample_digest(result.samples) == TENANT_GOLDENS[seed]
+
+
+def _dpdk_fio(dpdk=None, fio=None):
+    """A small DPDK-T + FIO pair; ``dpdk``/``fio`` override their knobs."""
+    return [
+        DpdkWorkload(
+            **{"name": "dpdk", "touch": True, "cores": 2,
+               "packet_bytes": 1024, "priority": PRIORITY_HIGH,
+               **(dpdk or {})}
+        ),
+        FioWorkload(
+            **{"name": "fio", "block_bytes": 256 * 1024, "cores": 2,
+               "io_depth": 8, "priority": PRIORITY_LOW, **(fio or {})}
+        ),
+    ]
+
+
+def _io_server(seed, workloads, **hierarchy):
+    """A manager-less server; ``hierarchy`` overrides HierarchyConfig."""
+    cfg = (
+        HierarchyConfig.for_platform(SKYLAKE_SP, **hierarchy)
+        if hierarchy else None
+    )
+    server = Server(cores=6, seed=seed, hierarchy_cfg=cfg)
+    server.add_workloads(workloads)
+    return server
+
+
+def _run_io(seed, workloads, **hierarchy):
+    return _io_server(seed, workloads, **hierarchy).run(epochs=3, warmup=1)
+
+
+IO_VARIANTS = {
+    "dpdk-nt": lambda seed: _run_io(seed, _dpdk_fio(dpdk={"touch": False})),
+    "dpdk-forward": lambda seed: _run_io(
+        seed, _dpdk_fio(dpdk={"forward": True})
+    ),
+    "fio-buffered": lambda seed: _run_io(
+        seed, _dpdk_fio(fio={"io_mode": "buffered"})
+    ),
+    "nic-dca-off": lambda seed: run_setup(
+        _dpdk_fio(), dca_off=("dpdk",), epochs=3, warmup=1, seed=seed
+    ),
+    "no-write-update": lambda seed: _run_io(
+        seed, _dpdk_fio(), ddio_write_update=False
+    ),
+    "srrip": lambda seed: _run_io(
+        seed, _dpdk_fio(),
+        llc=LlcConfig.for_platform(SKYLAKE_SP, replacement="srrip"),
+    ),
+    "sampled": lambda seed: _io_server(seed, _dpdk_fio()).run(
+        epochs=8, warmup=1,
+        sampling=SamplingPlan(stability_window=2, max_skip=4),
+    ),
+}
+
+IO_VARIANT_GOLDENS = {
+    ("dpdk-forward", 0xA4):
+        "c29641f6a7e0968d8671b1890981a4a209c8bc9fd682213ad46eb0c179b1563a",
+    ("dpdk-forward", 0x5EED):
+        "a55a6e6f1eb58c5ad33c0a81e0afe3954d97fd89a1e13876c8d2e990e4c9cd5e",
+    ("dpdk-nt", 0xA4):
+        "d18ebbe4de327e4b84ebc1feed7afd507bceb3fb00df7feba2eef07353d6559d",
+    ("dpdk-nt", 0x5EED):
+        "80e1dbb1bfb146022135c75180f1a63fd76864c95f99f36a75414621437f9992",
+    ("fio-buffered", 0xA4):
+        "9e2138522e59ea220e518a985025212f5297a1273110e8fc558ce6ddb8f1e3b1",
+    ("fio-buffered", 0x5EED):
+        "ded7b346438b3905b3a59244ba4b3fb62033d3a2b7a0f549dd1c95f009661c53",
+    ("nic-dca-off", 0xA4):
+        "7f41222969ce29d71c4a653bfedad88c2c34cc6096cefdab4b39da50ddb0e3ed",
+    ("nic-dca-off", 0x5EED):
+        "dfec8270eb11b710c516b8a25bc4cc33821d747b78fb788b47ab5ef494ff17c2",
+    ("no-write-update", 0xA4):
+        "61e94ff835cb48cbca0962b9459d2a78a3437266fd67ca1d2dd94fd751c48599",
+    ("no-write-update", 0x5EED):
+        "1e6e7e677c50a527f12d81adf1e61e05b72e8b9316a0039135987f8b93c785e3",
+    ("sampled", 0xA4):
+        "742b1268249304bd1c1e2082b093e0b44049ccb93f593a298f733a78609e242a",
+    ("sampled", 0x5EED):
+        "5f82aaf89d0ddc7d5e9228d72d825b614bc96c3af1fcd21e286115d2c3a287af",
+    ("srrip", 0xA4):
+        "05f1aa708941d3f9f6d279ada8786f2b017dd5795fe54af9d7f669e75ec85790",
+    ("srrip", 0x5EED):
+        "94fb1f15e7ed888959b763cc84ed66cbb7f439549c7864921ad60d39b4b48f62",
+}
+
+
+@pytest.mark.parametrize("seed", [0xA4, 0x5EED], ids=hex)
+@pytest.mark.parametrize("variant", sorted(IO_VARIANTS))
+def test_io_variant_golden(variant, seed):
+    result = IO_VARIANTS[variant](seed)
+    if variant == "sampled":
+        assert result.sampling.skipped_epochs > 0  # the skips shift time
+    assert sample_digest(result.samples) == IO_VARIANT_GOLDENS[(variant, seed)]
