@@ -189,70 +189,6 @@ def bench_platform_sweep(quick: bool) -> Dict[str, float]:
     }
 
 
-def bench_batched_dma(quick: bool) -> Dict[str, float]:
-    """Batched twin of ``dma_write``: the same DDIO ingress traffic shaped
-    the way devices actually deliver it — multi-line bursts (NIC packets,
-    NVMe quanta) through ``dma_write_burst`` — so the batch-dispatch path
-    (inline set indices, pre-drawn recency ticks, aggregated victim
-    accounting) is what gets measured.  ``events`` counts lines, making
-    events/s directly comparable with ``dma_write``."""
-    from perf.micro import _best_of, _make_hierarchy
-
-    writes = 40_000 if quick else 200_000
-    burst = 24  # a 1514B NIC packet
-    span = 8_192
-
-    def body() -> int:
-        hierarchy = _make_hierarchy()
-        now = 0.0
-        issued = 0
-        base = 0
-        while issued < writes:
-            hierarchy.dma_write_burst(now, base % span, burst, "nic", True)
-            issued += burst
-            base += burst
-            if base % (burst * 8) == 0:  # the consumer catches up
-                hierarchy.cpu_access(
-                    now, core=0, addr=base % span, stream="nic", io_read=True
-                )
-            now += 1.0
-        return issued
-
-    return _best_of(1 if quick else 3, body)
-
-
-def bench_batched_cpu(quick: bool) -> Dict[str, float]:
-    """Batched twin of ``cpu_access``: the same ladder driven through
-    ``cpu_access_run`` in runs of consecutive reads (a consumer scanning
-    packet payloads), so MLC-hit streaks collapse into bulk updates while
-    misses and migrations still take the scalar ladder in place."""
-    from perf.micro import _best_of, _make_hierarchy
-
-    accesses = 40_000 if quick else 200_000
-    run_len = 64  # one payload scan (4 KB) per run
-    span = 16_384
-
-    def body() -> int:
-        hierarchy = _make_hierarchy()
-        now = 0.0
-        issued = 0
-        base = 0
-        while issued < accesses:
-            addrs = range(base % span, base % span + run_len)
-            core = (issued >> 6) & 3
-            # Cold scan (header parse): the miss ladder, scalar in place.
-            hierarchy.cpu_access_run(now, core=core, addrs=addrs, stream="bench")
-            # Warm rescan (payload copy): the MLC-hit streak the batch
-            # collapses into bulk recency/counter updates.
-            hierarchy.cpu_access_run(now, core=core, addrs=addrs, stream="bench")
-            issued += 2 * run_len
-            base += run_len
-            now += 1.0
-        return issued
-
-    return _best_of(1 if quick else 3, body)
-
-
 def _long_horizon_config(quick: bool):
     """Epoch count + sampling plan for the long-horizon pair.
 
@@ -414,8 +350,6 @@ MACRO_BENCHMARKS = {
     "multi_seed_parallel": bench_multi_seed_parallel,
     "cached_figure": bench_cached_figure,
     "platform_sweep": bench_platform_sweep,
-    "batched_dma": bench_batched_dma,
-    "batched_cpu": bench_batched_cpu,
     "long_horizon": bench_long_horizon,
     "sampled_long_horizon": bench_sampled_long_horizon,
     "multi_tenant": bench_multi_tenant,

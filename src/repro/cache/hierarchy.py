@@ -27,8 +27,7 @@ movement rules the paper's contentions emerge from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.cache.directory import DirectoryEntry, SnoopFilter
 from repro.cache.line import LlcLine, MlcLine
@@ -36,7 +35,6 @@ from repro.cache.llc import LastLevelCache, LlcConfig
 from repro.cache.mlc import MidLevelCache
 from repro.platform import DEFAULT_PLATFORM, PlatformSpec
 from repro.rdt.cat import CacheAllocation
-from repro.sim import batch
 from repro.telemetry.counters import CounterBank
 from repro.uncore.memory import MemoryController
 
@@ -142,9 +140,9 @@ class CacheHierarchy:
         "_llc_nsets",
         "_sf_sets",
         "_sf_nsets",
-        "_batching",
         "_spare_entry",
-        "_spare_line",
+        "_spare_lines",
+        "_writebacks",
     )
 
     def __init__(
@@ -191,19 +189,18 @@ class CacheHierarchy:
         self._llc_nsets = self.llc._nsets
         self._sf_sets = self.sf._sets
         self._sf_nsets = self.sf.sets
-        self._batching = batch.enabled()
         self._spare_entry: Optional[DirectoryEntry] = None
         # A directory entry the last MLC eviction freed, reused by the
         # next fill that needs a new one (see _fill_mlc).
-        self._spare_line: Optional[LlcLine] = None
-        # Likewise the LLC record a victim-cache hit removed (LRU fast
-        # path only: its policy metadata is empty, its holders cleared).
-
-    def set_batching(self, enabled: bool) -> None:
-        """Toggle batched dispatch for this hierarchy (parity tests and the
-        on/off bit-identity gate use this; figures inherit the module
-        default from :mod:`repro.sim.batch`)."""
-        self._batching = bool(enabled)
+        self._spare_lines: list[LlcLine] = []
+        # Likewise the LLC records that left the cache (LRU fast path
+        # only: their policy metadata is empty, their holders cleared),
+        # reused by the next DMA allocates or MLC-victim fills that need a
+        # record.  Each one left a hole that such a fill refills, so the
+        # list stays as small as the cache's holes.
+        self._writebacks: dict[str, int] = {}
+        # Memory write lines per stream that the current DMA call owes;
+        # empty between calls (see dma_write_burst).
 
     def _stream(self, name: str):
         counters = self._scounters.get(name)
@@ -277,12 +274,12 @@ class CacheHierarchy:
                 io_flag = llc_line.io
                 self._detach_llc_line(llc_line)
                 llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty=dirty, io=io_flag)
+                self._fill_mlc(now, core, addr, stream, dirty, io_flag, None)
             elif llc_line.io and self._self_invalidate_consumed:
                 # IDIO/Sweeper baseline: the consumed copy self-invalidates.
                 self._detach_llc_line(llc_line)
                 llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty=False, io=True)
+                self._fill_mlc(now, core, addr, stream, False, True, None)
             elif llc_line.io:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
@@ -326,11 +323,13 @@ class CacheHierarchy:
                         )
                     lcounters.migrations += 1
                     if victim is not None:
+                        # Once accounted for, the displaced record is dead
+                        # (nothing outside the LLC points at it): it becomes
+                        # the next DMA allocate's or fill's new record.
                         self._dispose_victim(now, victim)
-                self._fill_mlc(
-                    now, core, addr, stream, dirty=False, io=True,
-                    llc_line=llc_line,
-                )
+                        victim.holders.clear()
+                        self._spare_lines.append(victim)
+                self._fill_mlc(now, core, addr, stream, False, True, llc_line)
             else:
                 # Regular non-inclusive victim-cache hit: the line transfers
                 # to the reader's MLC and the LLC copy is invalidated.
@@ -344,8 +343,8 @@ class CacheHierarchy:
                 slots[llc_line.way] = None
                 del wayset.index[addr]
                 if lru_tick is not None:
-                    self._spare_line = llc_line
-                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False)
+                    self._spare_lines.append(llc_line)
+                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, None)
             return self._llc_hit_cycles
 
         entry = self._sf_sets[addr % self._sf_nsets].get(addr)
@@ -353,10 +352,10 @@ class CacheHierarchy:
             # MLC-only line held by a peer core: serve via a snoop.
             counters.llc_hits += 1
             if write:
-                self._invalidate_peers(now, addr, keep_core=None)
-                self._fill_mlc(now, core, addr, stream, dirty=True, io=False)
+                self._invalidate_peers(now, addr, None)
+                self._fill_mlc(now, core, addr, stream, True, False, None)
             else:
-                self._fill_mlc(now, core, addr, stream, dirty=False, io=False)
+                self._fill_mlc(now, core, addr, stream, False, False, None)
             return self._snoop_hit_cycles
 
         # Full miss: fill the MLC straight from memory (non-inclusive).
@@ -367,7 +366,7 @@ class CacheHierarchy:
         latency = self.memory.access_latency()
         if self.mba is not None:
             latency *= self.mba.latency_factor(self.cat.clos_of(core))
-        self._fill_mlc(now, core, addr, stream, dirty=write, io=io_read)
+        self._fill_mlc(now, core, addr, stream, write, io_read, None)
         if self._next_line_prefetch and not io_read:
             self._prefetch(now, core, addr + 1, stream)
         return latency
@@ -381,7 +380,7 @@ class CacheHierarchy:
         counters = self._stream(stream)
         counters.prefetch_fills += 1
         self.memory.read(now, 1, stream)
-        self._fill_mlc(now, core, addr, stream, dirty=False, io=False)
+        self._fill_mlc(now, core, addr, stream, False, False, None)
 
     def cpu_access_run(
         self,
@@ -394,22 +393,13 @@ class CacheHierarchy:
     ) -> float:
         """Sum of :meth:`cpu_access` latencies for ``addrs``, in order.
 
-        Semantically identical to calling :meth:`cpu_access` once per
-        address.  With batching on, maximal streaks of MLC *read* hits —
-        which mutate nothing but recency and counters — are classified
-        before any mutation and then processed in bulk (one counter update,
-        recency ticks pre-drawn in order); every other access (writes,
-        misses, LLC/snoop transitions, prefetch triggers) delegates to the
-        scalar path at its original position in the run, so any state it
-        changes is visible to the classification of the remaining suffix.
-
-        The returned total is exact for the default integral hit latencies;
-        with non-integral latency configs it may differ from the scalar sum
-        in the last float bit (bulk multiply vs. repeated add).
-        """
-        if not self._batching or write:
-            cpu_access = self.cpu_access
-            total = 0.0
+        An MLC read hit changes only its line's recency and two counters,
+        so it is served inline; every other access is a :meth:`cpu_access`
+        call.  Either way each address costs exactly what a
+        :meth:`cpu_access` call would charge, added in the same order."""
+        cpu_access = self.cpu_access
+        total = 0.0
+        if write:
             for addr in addrs:
                 total += cpu_access(now, core, addr, stream, write, io_read)
             return total
@@ -420,41 +410,20 @@ class CacheHierarchy:
         msets = mlc._sets
         nmsets = mlc.sets
         mtick = mlc._tick
-        mlc_hit_cycles = self._mlc_hit_cycles
-        cpu_access = self.cpu_access
-        n = len(addrs)
-        total = 0.0
-        i = 0
-        while i < n:
-            addr = addrs[i]
+        hit_cycles = self._mlc_hit_cycles
+        for addr in addrs:
             bucket = msets[addr % nmsets]
             line = bucket.get(addr)
             if line is None:
                 total += cpu_access(now, core, addr, stream, False, io_read)
-                i += 1
                 continue
-            # MLC-read-hit streak: a hit mutates only the line's recency,
-            # which cannot change any later access's hit/miss outcome, so
-            # ticks are drawn inline in exact scalar order; the first
-            # non-hit ends the streak and re-enters scalar dispatch.
-            count = 0
-            while True:
-                line.lru = next(mtick)
-                del bucket[addr]
-                bucket[addr] = line
-                count += 1
-                i += 1
-                if i >= n:
-                    break
-                addr = addrs[i]
-                bucket = msets[addr % nmsets]
-                line = bucket.get(addr)
-                if line is None:
-                    break
-            counters.mlc_hits += count
+            line.lru = next(mtick)
+            del bucket[addr]
+            bucket[addr] = line
+            counters.mlc_hits += 1
             if io_read:
-                counters.io_reads += count
-            total += mlc_hit_cycles * count
+                counters.io_reads += 1
+            total += hit_cycles
         return total
 
     # ------------------------------------------------------------------
@@ -474,25 +443,43 @@ class CacheHierarchy:
     ) -> None:
         """Inbound device write of ``lines`` consecutive lines.
 
-        Semantically identical to ``lines`` calls to :meth:`dma_write`; the
-        burst form hoists the per-stream counter fetch and structure
-        bindings out of the per-line loop (NIC packets and NVMe transfers
-        always write multi-line bursts).
+        Semantically identical to ``lines`` calls to :meth:`dma_write`:
+        :meth:`_write_lines` does the work, then the memory writes it
+        summed are issued, one per stream.
         """
-        batched = self._batching and lines >= batch.MIN_BURST
-        if batched and not allocating:
-            self._memory_flow_batched(now, ((base_addr, lines, stream),))
-            return
-        counters = self._scounters.get(stream)
-        if counters is None:
-            counters = self._scounters[stream] = self.counters.stream(stream)
-        counters.dma_writes += lines
-        if batched and self._llc_lru_tick is not None and self._ddio_write_update:
-            # Batched dispatch covers the two uniform flows; the ablation
-            # (write-update off) and non-LRU policies keep scalar dispatch.
-            self._dma_write_burst_batched(now, base_addr, lines, stream, counters)
-            return
+        self._write_lines(now, base_addr, lines, stream, allocating)
+        if self._writebacks:
+            self._flush_writebacks(now)
 
+    def _write_lines(
+        self,
+        now: float,
+        base_addr: int,
+        lines: int,
+        stream: str,
+        allocating: bool,
+        more: Optional[Iterator[Tuple[int, int, str]]] = None,
+    ) -> None:
+        """The one DMA write loop: both flows, the write-update ablation
+        and every replacement policy run through it.  ``more``, an
+        iterator of further ``(base_addr, lines, stream)`` spans written
+        at the same ``now``, carries the loop on through them
+        (:meth:`dma_write_multi`'s memory flow).  Two savings keep it
+        cheap, both exact:
+
+        * a dead LLC record is never thrown away — an allocation's victim
+          with no MLC holders becomes the new line, and a displaced
+          inclusive victim or a stale copy waits in ``_spare_lines`` for
+          an allocation that finds an empty way (LRU fast path);
+        * memory writes (write-backs of dirty victims, and the memory
+          flow's lines) are not issued here but summed per stream in
+          ``_writebacks``, for the caller to issue once per stream: at a
+          fixed ``now`` the memory controller's utilisation window rolls
+          at most once, on the first write, so one summed write accounts
+          exactly like per-line ones.
+        """
+        scounters = self._scounters
+        writebacks = self._writebacks
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
         llc = self.llc
@@ -500,46 +487,66 @@ class CacheHierarchy:
         llc_nsets = self._llc_nsets
         write_update = self._ddio_write_update
         lru_tick = self._llc_lru_tick
-        memory_write = self.memory.write
-        scounters = self._scounters
-        for addr in range(base_addr, base_addr + lines):
-            # The device takes ownership: cached CPU copies become stale.
-            # (Untracked addresses — the common case for fresh buffers —
-            # skip the full peer walk; LLC holder sets are empty whenever
-            # no snoop filter entry exists, so nothing needs pruning.)
-            if sf_sets[addr % sf_nsets].get(addr) is not None:
-                self._invalidate_peers(now, addr, keep_core=None, silent=True)
-            wayset = llc_sets[addr % llc_nsets]
-            llc_line = wayset.index.get(addr)
-            if llc_line is not None:
-                llc_line.holders.clear()
-
-            if allocating:
-                if llc_line is not None and not write_update:
-                    # Ablation: no in-place updates; drop the stale copy and
-                    # fall through to a fresh DCA-way allocation.
-                    self._detach_llc_line(llc_line)
-                    llc.remove(llc_line)
-                    llc_line = None
+        dca_ways = llc.dca_ways
+        spares = self._spare_lines
+        while True:
+            counters = scounters.get(stream)
+            if counters is None:
+                counters = scounters[stream] = self.counters.stream(stream)
+            counters.dma_writes += lines
+            if not allocating and lines > 0:
+                writebacks[stream] = writebacks.get(stream, 0) + lines
+            updates = allocates = 0
+            for addr in range(base_addr, base_addr + lines):
+                # The device takes ownership: cached CPU copies become stale.
+                # (Untracked addresses — the common case for fresh buffers —
+                # skip the full peer walk; LLC holder sets are empty whenever
+                # no snoop filter entry exists, so nothing needs pruning.)
+                if sf_sets[addr % sf_nsets].get(addr) is not None:
+                    self._invalidate_peers(now, addr, None, True)
+                wayset = llc_sets[addr % llc_nsets]
+                llc_line = wayset.index.get(addr)
                 if llc_line is not None:
-                    counters.ddio_updates += 1
-                    llc_line.dirty = True
-                    llc_line.io = True
-                    llc_line.consumed = False
-                    llc_line.stream = stream
+                    llc_line.holders.clear()
+                    if allocating and write_update:
+                        # DDIO write-update in place.
+                        updates += 1
+                        llc_line.dirty = True
+                        llc_line.io = True
+                        llc_line.consumed = False
+                        llc_line.stream = stream
+                        if lru_tick is not None:
+                            llc_line.lru = next(lru_tick)
+                        else:
+                            llc.policy.on_hit(llc_line)
+                        continue
+                    # The stale copy dies without write-back: the memory flow
+                    # invalidates it, the write-update ablation re-allocates
+                    # the line into the DCA ways below.  (Inlined
+                    # LastLevelCache.remove.)
+                    slots = wayset.slots
+                    if slots[llc_line.way] is not llc_line:
+                        raise ValueError("line is not resident where it claims to be")
+                    slots[llc_line.way] = None
+                    del wayset.index[addr]
                     if lru_tick is not None:
-                        llc_line.lru = next(lru_tick)
-                    else:
-                        llc.policy.on_hit(llc_line)
-                elif lru_tick is not None:
+                        spares.append(llc_line)
+                if not allocating:
+                    continue
+                # DDIO write-allocate into the DCA ways.
+                allocates += 1
+                index = wayset.index
+                if lru_tick is None:
+                    _, victim = llc.allocate(addr, stream, dca_ways, True, True, False)
+                    if victim is None:
+                        continue
+                else:
                     # Inlined LastLevelCache.allocate (LRU fast path); the
-                    # lookup above proved ``addr`` is not resident, and
-                    # ``wayset`` is reused from it.
-                    counters.ddio_allocates += 1
+                    # lookup above proved ``addr`` is not resident.
                     slots = wayset.slots
                     way = -1
                     best_lru = None
-                    for cand in llc.dca_ways:
+                    for cand in dca_ways:
                         resident = slots[cand]
                         if resident is None:
                             way = cand
@@ -549,158 +556,61 @@ class CacheHierarchy:
                     if way < 0:
                         raise ValueError("no candidate ways for victim selection")
                     victim = slots[way]
-                    index = wayset.index
                     if victim is not None:
                         del index[victim.addr]
-                    line = LlcLine(addr, stream, way, True, True, False)
-                    line.lru = next(lru_tick)
-                    slots[way] = line
-                    index[addr] = line
-                    if victim is not None:
-                        if victim.holders:
-                            self._dispose_victim(now, victim)
+                    if victim is None or victim.holders:
+                        if not spares:
+                            line = LlcLine(addr, stream, way, True, True, False)
                         else:
-                            # Inlined _dispose_victim, no-holders case (DCA
-                            # victims are never inclusive).
-                            vstream = victim.stream
-                            vcounters = scounters.get(vstream)
-                            if vcounters is None:
-                                vcounters = scounters[vstream] = (
-                                    self.counters.stream(vstream)
-                                )
-                            vcounters.llc_evictions_suffered += 1
-                            if victim.io and not victim.consumed:
-                                vcounters.dma_leaks += 1
-                            if victim.dirty:
-                                memory_write(now, 1, vstream)
-                else:
-                    counters.ddio_allocates += 1
-                    _, victim = llc.allocate(
-                        addr,
-                        stream,
-                        llc.dca_ways,
-                        dirty=True,
-                        io=True,
-                        consumed=False,
-                    )
-                    if victim is not None:
-                        self._dispose_victim(now, victim)
-            else:
-                memory_write(now, 1, stream)
-                if llc_line is not None:
-                    # Stale copy invalidated without write-back.
-                    llc.remove(llc_line)
-
-    def _dma_write_burst_batched(
-        self,
-        now: float,
-        base_addr: int,
-        lines: int,
-        stream: str,
-        counters,
-    ) -> None:
-        """Batch twin of the scalar allocating burst loop (bit-identical by
-        design).
-
-        Parity rests on three invariants, each checked by the randomized
-        property tests:
-
-        * at a fixed ``now`` the memory controller's utilisation window
-          rolls at most once (on the first access), so per-line write-backs
-          and one aggregated ``memory.write`` per stream account
-          identically;
-        * in the allocating LRU flow every line consumes exactly one LLC
-          recency tick (write-update or allocate), so the ticks can be
-          pre-drawn in line order;
-        * deferred per-victim-stream counter flushes run in first-encounter
-          order, matching the order the scalar loop would lazily create
-          stream counters in.
-
-        Anything that breaks uniformity — a snoop-filter hit, an inclusive
-        victim — drops to the scalar helpers mid-batch for that line only.
-        """
-        sf_sets = self._sf_sets
-        sf_nsets = self._sf_nsets
-        llc_sets = self._llc_sets
-        llc_nsets = self._llc_nsets
-        end = base_addr + lines
-        dca_ways = self.llc.dca_ways
-        lru_tick = self._llc_lru_tick
-        ticks = list(islice(lru_tick, lines))
-        n_updates = 0
-        n_allocates = 0
-        # victim stream -> [evictions, leaks, write-back lines]
-        evictions: dict[str, list] = {}
-        for offset, addr in enumerate(range(base_addr, end)):
-            if sf_sets[addr % sf_nsets].get(addr) is not None:
-                self._invalidate_peers(now, addr, keep_core=None, silent=True)
-            wayset = llc_sets[addr % llc_nsets]
-            index = wayset.index
-            llc_line = index.get(addr)
-            if llc_line is not None:
-                # DDIO write-update in place.
-                llc_line.holders.clear()
-                n_updates += 1
-                llc_line.dirty = True
-                llc_line.io = True
-                llc_line.consumed = False
-                llc_line.stream = stream
-                llc_line.lru = ticks[offset]
-                continue
-            # DDIO write-allocate into the DCA ways (inlined LRU allocate).
-            n_allocates += 1
-            slots = wayset.slots
-            way = -1
-            best_lru = None
-            for cand in dca_ways:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-            victim = slots[way]
-            if victim is not None:
-                del index[victim.addr]
-                if not victim.holders:
-                    # A victim no MLC holds is referenced nowhere else:
-                    # account for it, then reuse its record as the new line.
-                    acc = evictions.get(victim.stream)
-                    if acc is None:
-                        acc = evictions[victim.stream] = [0, 0, 0]
-                    acc[0] += 1
-                    if victim.io and not victim.consumed:
-                        acc[1] += 1
-                    if victim.dirty:
-                        acc[2] += 1
+                            line = spares.pop()
+                            line.addr = addr
+                            line.stream = stream
+                            line.way = way
+                            line.dirty = True
+                            line.io = True
+                            line.consumed = False
+                        line.lru = next(lru_tick)
+                        slots[way] = line
+                        index[addr] = line
+                        if victim is None:
+                            continue
+                if victim.holders:
+                    # An inclusive victim only loses its LLC data copy.
+                    self._dispose_victim(now, victim)
+                    if lru_tick is not None:
+                        victim.holders.clear()
+                        spares.append(victim)
+                    continue
+                # Inlined _dispose_victim, no-holders case, its write-back
+                # summed into ``writebacks``.
+                vstream = victim.stream
+                vcounters = scounters.get(vstream)
+                if vcounters is None:
+                    vcounters = scounters[vstream] = self.counters.stream(vstream)
+                vcounters.llc_evictions_suffered += 1
+                if victim.io and not victim.consumed:
+                    vcounters.dma_leaks += 1
+                if victim.dirty:
+                    writebacks[vstream] = writebacks.get(vstream, 0) + 1
+                if lru_tick is not None:
+                    # Nothing else references the victim: it becomes the line.
                     victim.addr = addr
                     victim.stream = stream
                     victim.dirty = True
                     victim.io = True
                     victim.consumed = False
-                    victim.lru = ticks[offset]
+                    victim.lru = next(lru_tick)
                     index[addr] = victim
-                    continue
-            line = LlcLine(addr, stream, way, True, True, False)
-            line.lru = ticks[offset]
-            slots[way] = line
-            index[addr] = line
-            if victim is not None:
-                self._dispose_victim(now, victim)
-        counters.ddio_updates += n_updates
-        counters.ddio_allocates += n_allocates
-        scounters = self._scounters
-        memory_write = self.memory.write
-        for vstream, (evicted, leaked, written) in evictions.items():
-            vcounters = scounters.get(vstream)
-            if vcounters is None:
-                vcounters = scounters[vstream] = self.counters.stream(vstream)
-            vcounters.llc_evictions_suffered += evicted
-            vcounters.dma_leaks += leaked
-            if written:
-                memory_write(now, written, vstream)
+            if updates:
+                counters.ddio_updates += updates
+            if allocates:
+                counters.ddio_allocates += allocates
+            if more is None:
+                return
+            try:
+                base_addr, lines, stream = next(more)
+            except StopIteration:
+                return
 
     def dma_write_multi(
         self,
@@ -712,51 +622,25 @@ class CacheHierarchy:
         issued at the same timestamp; equivalent to one
         :meth:`dma_write_burst` per span, in order.  Devices that fan one
         service quantum across many buffers (the NVMe transfer engine) use
-        this to keep each span on the batched path.
-
-        With batching on, a non-allocating quantum goes through the memory
-        flow in one pass, whatever its span lengths (the ``MIN_BURST``
-        floor applies per call, and one call covers every span here)."""
-        if self._batching and not allocating:
-            self._memory_flow_batched(now, spans)
+        this.  A non-allocating quantum runs the loop over every span and
+        then issues one memory write per stream for the whole call."""
+        if allocating:
+            for base_addr, lines, stream in spans:
+                self.dma_write_burst(now, base_addr, lines, stream, True)
             return
-        for base_addr, lines, stream in spans:
-            self.dma_write_burst(now, base_addr, lines, stream, allocating)
+        if spans:
+            more = iter(spans)
+            base_addr, lines, stream = next(more)
+            self._write_lines(now, base_addr, lines, stream, False, more)
+            self._flush_writebacks(now)
 
-    def _memory_flow_batched(
-        self, now: float, spans: Sequence[Tuple[int, int, str]]
-    ) -> None:
-        """Non-allocating (DCA-off) writes of ``spans`` in one pass: every
-        written line invalidates its cached copies without write-back, then
-        one ``memory.write`` per stream, in first-encounter order, carries
-        the summed lines.  Exact because at a fixed ``now`` the memory
-        controller's utilisation window rolls at most once, on the first
-        write."""
-        sf_sets = self._sf_sets
-        sf_nsets = self._sf_nsets
-        llc_sets = self._llc_sets
-        llc_nsets = self._llc_nsets
-        llc = self.llc
-        scounters = self._scounters
-        written: dict[str, int] = {}
-        for base_addr, lines, stream in spans:
-            counters = scounters.get(stream)
-            if counters is None:
-                counters = scounters[stream] = self.counters.stream(stream)
-            counters.dma_writes += lines
-            if lines > 0:
-                written[stream] = written.get(stream, 0) + lines
-            for addr in range(base_addr, base_addr + lines):
-                if sf_sets[addr % sf_nsets].get(addr) is not None:
-                    self._invalidate_peers(now, addr, keep_core=None, silent=True)
-                llc_line = llc_sets[addr % llc_nsets].index.get(addr)
-                if llc_line is not None:
-                    # Stale copy invalidated without write-back.
-                    llc_line.holders.clear()
-                    llc.remove(llc_line)
+    def _flush_writebacks(self, now: float) -> None:
+        """Issue the memory writes the DMA loop summed, one per stream."""
+        writebacks = self._writebacks
         memory_write = self.memory.write
-        for stream, lines in written.items():
+        for stream, lines in writebacks.items():
             memory_write(now, lines, stream)
+        writebacks.clear()
 
     def dma_read(self, now: float, addr: int, stream: str) -> None:
         """Outbound device read of one line (egress path)."""
@@ -813,7 +697,7 @@ class CacheHierarchy:
         stream: str,
         dirty: bool,
         io: bool,
-        llc_line: Optional[LlcLine] = None,
+        llc_line: Optional[LlcLine],
     ) -> None:
         """Install ``addr`` into ``core``'s MLC, track it in the extended
         directory, and push the MLC's victim (if any) down into the LLC.
@@ -830,8 +714,9 @@ class CacheHierarchy:
         entry freed by the eviction is kept in one spare slot for the next
         fill, and on the LRU fast path an LLC victim with no holders (hence
         unreferenced, with empty policy metadata) becomes the new LLC line;
-        failing that, so does the record a victim-cache hit left in
-        ``_spare_line``.
+        failing that, so does a dead record waiting in ``_spare_lines``.
+        Callers pass every argument positionally (this runs once per MLC
+        miss).
         """
         mlc = self.mlcs[core]
         bucket = mlc._sets[addr % mlc.sets]
@@ -985,11 +870,11 @@ class CacheHierarchy:
                 victim.lru = next(lru_tick)
                 index[addr] = victim
                 return
-        line = self._spare_line
-        if line is None:
+        spares = self._spare_lines
+        if not spares:
             line = LlcLine(addr, vstream, way, vdirty, vio, vio)
         else:
-            self._spare_line = None
+            line = spares.pop()
             line.addr = addr
             line.stream = vstream
             line.way = way
@@ -1000,7 +885,10 @@ class CacheHierarchy:
         slots[way] = line
         index[addr] = line
         if victim is not None:
+            # An inclusive victim: accounted for, then parked for reuse.
             self._dispose_victim(now, victim)
+            victim.holders.clear()
+            spares.append(victim)
 
     def _dispose_victim(self, now: float, victim: LlcLine) -> None:
         """Account for an LLC line displaced by a fill or migration."""

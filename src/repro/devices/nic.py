@@ -71,20 +71,30 @@ class Nic:
         sim.spawn_restartable(f"{self.name}-rx", self, "_rx_body", sim)
 
     def _rx_body(self, sim: Simulator):
-        # Already restartable as written: the single yield ends the loop
-        # body and all state lives on ``self`` / the generator's RNG.
+        # Restartable as written: the single yield ends the loop body and
+        # all state lives on ``self`` / the generator's RNG; the inputs are
+        # bound once per generator start.
         counters = self.counters.stream(self.stream)
+        next_packet_lines = self.generator.next_packet_lines
+        next_gap = self.generator.next_gap
+        inbound_write_burst = self.iio.inbound_write_burst
+        port = self.port
+        stream = self.stream
+        rings = self.rings
+        nrings = len(rings)
         while True:
-            lines = self.generator.next_packet_lines()
-            ring = self.rings[self._next_ring]
-            self._next_ring = (self._next_ring + 1) % len(self.rings)
+            lines = next_packet_lines()
+            index = self._next_ring
+            ring = rings[index]
+            index += 1
+            self._next_ring = index if index < nrings else 0
             entry = ring.push(lines, sim.now)
             if entry is None:
                 self.packets_dropped += 1
                 counters.packets_dropped += 1
             else:
                 self.packets_delivered += 1
-                self.iio.inbound_write_burst(
-                    sim.now, self.port, entry.buffer_addr, lines, self.stream
+                inbound_write_burst(
+                    sim.now, port, entry.buffer_addr, lines, stream
                 )
-            yield self.generator.next_gap()
+            yield next_gap()

@@ -190,34 +190,37 @@ class NvmeSsd:
             self._active.append(command)
 
     def _transfer(self, sim: Simulator) -> None:
-        if not self._active:
+        active = self._active
+        if not active:
             return
         cfg = self.cfg
-        share = cfg.bandwidth_lines_per_cycle * cfg.quantum_cycles / len(self._active)
+        share = cfg.bandwidth_lines_per_cycle * cfg.quantum_cycles / len(active)
         finished: List[NvmeCommand] = []
         spans: List[tuple] = []
-        for command in self._active:
-            command._credit += share
-            burst = min(int(command._credit), command.lines - command._written)
+        transferred = 0
+        for command in active:
+            credit = command._credit + share
+            written = command._written
+            lines = command.lines
+            burst = int(credit)
+            if burst > lines - written:
+                burst = lines - written
             if burst > 0:
-                command._credit -= burst
-                spans.append(
-                    (
-                        command.buffer_addr + command._written,
-                        burst,
-                        command.stream,
-                    )
-                )
-                command._written += burst
-                self.lines_transferred += burst
-            if command._written >= command.lines:
+                credit -= burst
+                spans.append((command.buffer_addr + written, burst, command.stream))
+                written += burst
+                command._written = written
+                transferred += burst
+            command._credit = credit
+            if written >= lines:
                 finished.append(command)
+        self.lines_transferred += transferred
         if spans:
             # All of this quantum's per-command bursts happen at the same
             # timestamp, so they cross the IIO agent as one multi-span call.
             self.iio.inbound_write_multi(sim.now, self.port, spans)
         for command in finished:
-            self._active.remove(command)
+            active.remove(command)
             command.completed_at = sim.now
             self.commands_completed += 1
             if command.on_complete is not None:

@@ -159,91 +159,94 @@ class DpdkWorkload(Workload):
                     entry.arrival_time += delta
 
     def _consumer_body(self, server, core: int, ring: RxRing, st):
-        # Restartable body: the original straight-line packet pipeline is
-        # a ``pc`` dispatch machine — poll/descriptor (0), payload scan
-        # (1), header rewrite (2), egress + retire (3) — with one yield
-        # per arm, so a rebuilt generator resumes mid-packet exactly where
-        # the original left off.  Arms fall through without yielding where
-        # the original had no yield (retire runs at the same ``now`` as
-        # the last payload line, then polling continues immediately).
+        # Restartable body: the straight-line packet pipeline is a ``pc``
+        # machine — poll/descriptor (0), payload scan (1), header rewrite
+        # (2), egress + retire (3) — whose state lives in ``st``, written
+        # before every yield, so a rebuilt generator resumes mid-packet
+        # exactly where the original left off.  Inside an arm the loop
+        # runs on locals: it dispatches on ``pc`` only when (re)started,
+        # keeps the entry under service (``ring.peek()`` until the retire
+        # pops it) and the line position in locals, and falls through to
+        # the next arm without yielding where the pipeline has no yield
+        # (retire runs at the same ``now`` as the last payload line, then
+        # polling continues immediately).
         sim = server.sim
-        hierarchy = server.hierarchy
         counters = server.counters.stream(self.name)
-        tracker = server.pcm.tracker(self.name)
-        # Loop-invariant bindings for the per-line payload scan below.
-        cpu_access = hierarchy.cpu_access
+        record = server.pcm.tracker(self.name).record
+        cpu_access = server.hierarchy.cpu_access
+        outbound_read = server.iio.outbound_read
+        port = self.nic.port
+        peek = ring.peek
+        pop = ring.pop
         name = self.name
+        touch = self.touch
+        forward = self.forward
         line_bytes = server.platform.line_bytes
         instructions_per_line = self.instructions_per_line
         processing_per_line = self.processing_cycles_per_line
         parallelism = self.payload_parallelism
         while True:
-            if st.pc == 0:
-                entry = ring.peek()
+            pc = st.pc
+            entry = peek()
+            if pc == 0:
                 if entry is None:
                     yield POLL_GAP_CYCLES
                     continue
-                st.queueing = max(0.0, sim.now - entry.arrival_time)
+                now = sim.now
+                st.queueing = max(0.0, now - entry.arrival_time)
                 # Descriptor / packet-pointer access.
-                st.access = cpu_access(
-                    sim.now, core, entry.buffer_addr, name, io_read=True
-                )
+                access = cpu_access(now, core, entry.buffer_addr, name, False, True)
                 counters.instructions += instructions_per_line
+                st.access = access
                 st.processing = 0.0
                 st.offset = 1
-                st.pc = 1
-                yield st.access
-                continue
-            if st.pc == 1:
-                entry = ring.peek()
-                if self.touch and st.offset < entry.packet_lines:
-                    line_latency = (
-                        cpu_access(
-                            sim.now, core, entry.buffer_addr + st.offset,
-                            name, io_read=True,
+                st.pc = pc = 1
+                yield access
+            base = entry.buffer_addr
+            lines = entry.packet_lines
+            if pc == 1:
+                offset = st.offset
+                if touch and offset < lines:
+                    access = st.access
+                    processing = st.processing
+                    while offset < lines:
+                        line_latency = (
+                            cpu_access(sim.now, core, base + offset, name, False, True)
+                            / parallelism
                         )
-                        / parallelism
-                    )
-                    st.access += line_latency
-                    st.processing += processing_per_line
-                    counters.instructions += instructions_per_line
-                    st.offset += 1
-                    yield line_latency + processing_per_line
-                    continue
-                st.pc = 2
-                continue
-            if st.pc == 2:
-                if self.forward:
+                        access += line_latency
+                        processing += processing_per_line
+                        counters.instructions += instructions_per_line
+                        offset += 1
+                        st.access = access
+                        st.processing = processing
+                        st.offset = offset
+                        yield line_latency + processing_per_line
+                if forward:
                     # Rewrite the header (MAC/TTL), then the NIC pulls the
                     # packet back out through the egress path.
-                    entry = ring.peek()
-                    header_latency = hierarchy.cpu_access(
-                        sim.now, core, entry.buffer_addr, name, write=True
-                    )
+                    header_latency = cpu_access(sim.now, core, base, name, True)
                     counters.instructions += instructions_per_line
                     st.processing += header_latency
                     st.pc = 3
                     yield header_latency
-                    continue
-                st.pc = 3
-                continue
             # pc == 3: egress (forwarding only) and retire.
-            entry = ring.peek()
-            if self.forward:
-                port = self.nic.port
-                for offset in range(entry.packet_lines):
-                    server.iio.outbound_read(
-                        sim.now, port, entry.buffer_addr + offset, name
-                    )
-            ring.pop()
-            counters.io_bytes_completed += entry.packet_lines * line_bytes
+            if forward:
+                now = sim.now
+                for addr in range(base, base + lines):
+                    outbound_read(now, port, addr, name)
+            pop()
+            counters.io_bytes_completed += lines * line_bytes
             counters.io_requests_completed += 1
-            tracker.record(
-                st.queueing + st.access + st.processing,
+            queueing = st.queueing
+            access = st.access
+            processing = st.processing
+            record(
+                queueing + access + processing,
                 components={
-                    "queueing": st.queueing,
-                    "access": st.access,
-                    "processing": st.processing,
+                    "queueing": queueing,
+                    "access": access,
+                    "processing": processing,
                 },
             )
             st.pc = 0

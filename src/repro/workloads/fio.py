@@ -167,18 +167,25 @@ class FioWorkload(Workload):
                 st.command.completed_at += delta
 
     def _thread_body(self, server, core: int, buffers, user_buffer, st):
-        # Restartable body: poll (0), buffered copy (1), scan (2) arms of
-        # a ``pc`` dispatch machine, each yield ending its arm.  The
-        # io_depth priming submits run on the first resume, guarded by
-        # ``st.primed`` so a rebuilt generator never re-submits.
+        # Restartable body: poll (0), buffered copy (1) and scan (2) arms
+        # of a ``pc`` machine whose state lives in ``st``, written before
+        # every yield.  Inside an arm the loop runs on locals — the block
+        # under service and the line position — and falls through to the
+        # next arm without yielding where the original had no yield (the
+        # retire and resubmit run at the same ``now`` as the last scanned
+        # line, then polling continues).  The io_depth priming submits
+        # run on the first resume, guarded by ``st.primed`` so a rebuilt
+        # generator never re-submits.
         sim = server.sim
-        hierarchy = server.hierarchy
         counters = server.counters.stream(self.name)
-        tracker = server.pcm.tracker(self.name)
+        record = server.pcm.tracker(self.name).record
         completed = st.completed
-        # Loop-invariant bindings for the per-line scan below.
-        cpu_access = hierarchy.cpu_access
+        items = completed.items
+        cpu_access = server.hierarchy.cpu_access
+        ssd_submit = self.ssd.submit
         name = self.name
+        block_lines = self.block_lines
+        nbuffers = len(buffers)
         instructions_per_line = self.instructions_per_line
         compute_cycles = self.compute_cycles_per_line
         parallelism = self.memory_parallelism
@@ -186,14 +193,16 @@ class FioWorkload(Workload):
 
         def submit() -> None:
             buffer_addr = buffers[st.next_buffer]
-            st.next_buffer = (st.next_buffer + 1) % len(buffers)
-            command = NvmeCommand(
-                stream=name,
-                buffer_addr=buffer_addr,
-                lines=self.block_lines,
-                on_complete=completed,
+            st.next_buffer = (st.next_buffer + 1) % nbuffers
+            ssd_submit(
+                sim,
+                NvmeCommand(
+                    stream=name,
+                    buffer_addr=buffer_addr,
+                    lines=block_lines,
+                    on_complete=completed,
+                ),
             )
-            self.ssd.submit(sim, command)
 
         if not st.primed:
             st.primed = True
@@ -201,59 +210,54 @@ class FioWorkload(Workload):
                 submit()
 
         while True:
-            if st.pc == 0:
-                if not completed.items:
+            pc = st.pc
+            if pc == 0:
+                if not items:
                     yield COMPLETION_POLL_CYCLES
                     continue
-                st.command = completed.items.popleft()
+                command = st.command = items.popleft()
                 st.offset = 0
-                st.pc = 1 if user_buffer is not None else 2
-                continue
-            if st.pc == 1:
+                st.pc = pc = 1 if user_buffer is not None else 2
+            else:
+                command = st.command
+            lines = command.lines
+            if pc == 1:
                 # Buffered path: copy kernel buffer -> user buffer first
                 # (read the DMA target, write the user page), then scan
                 # the user copy.
-                if st.offset < st.command.lines:
+                source = command.buffer_addr
+                offset = st.offset
+                while offset < lines:
                     read_latency = cpu_access(
-                        sim.now,
-                        core,
-                        st.command.buffer_addr + st.offset,
-                        name,
-                        io_read=True,
+                        sim.now, core, source + offset, name, False, True
                     )
                     write_latency = cpu_access(
-                        sim.now,
-                        core,
-                        user_buffer + st.offset,
-                        name,
-                        write=True,
+                        sim.now, core, user_buffer + offset, name, True
                     )
                     counters.instructions += instructions_per_line
-                    st.offset += 1
+                    offset += 1
+                    st.offset = offset
                     yield (read_latency + write_latency) / parallelism
-                    continue
                 st.offset = 0
                 st.pc = 2
-                continue
             # pc == 2: regex scan over the whole block — every line enters
-            # the MLC — then retire and resubmit without yielding (the
-            # next poll happens at the same ``now``, as in the original).
+            # the MLC — then retire and resubmit.
             if user_buffer is not None:
                 scan_base, scan_io = user_buffer, False
             else:
-                scan_base, scan_io = st.command.buffer_addr, True
-            if st.offset < st.command.lines:
+                scan_base, scan_io = command.buffer_addr, True
+            offset = st.offset
+            while offset < lines:
                 latency = cpu_access(
-                    sim.now, core, scan_base + st.offset, name,
-                    io_read=scan_io,
+                    sim.now, core, scan_base + offset, name, False, scan_io
                 )
                 counters.instructions += instructions_per_line
-                st.offset += 1
+                offset += 1
+                st.offset = offset
                 yield (latency + compute_cycles) / parallelism
-                continue
-            counters.io_bytes_completed += st.command.lines * line_bytes
+            counters.io_bytes_completed += lines * line_bytes
             counters.io_requests_completed += 1
-            tracker.record(sim.now - st.command.submitted_at)
+            record(sim.now - command.submitted_at)
             st.command = None
             submit()
             st.pc = 0

@@ -37,13 +37,6 @@ class AccessProfile:
     realistic MLC hit rate."""
     stride_lines: int = 4
     """Line stride for the 'stride' pattern (X-Mem's strided mode)."""
-    batch_accesses: int = 1
-    """Opt-in event coalescing: issue this many loop iterations as one
-    ``cpu_access_run`` at a single timestamp, yielding their summed cost.
-    The default (1) is the exact per-access process and what every figure
-    uses; values > 1 coarsen the event timeline (fewer, larger events), so
-    this is an approximation knob for long-horizon capacity sweeps, not a
-    transparent speedup — results are NOT bit-identical to the default."""
 
     def __post_init__(self) -> None:
         if self.working_set_lines <= 0:
@@ -60,13 +53,6 @@ class AccessProfile:
             raise ValueError("repeats must be >= 1")
         if self.stride_lines < 1:
             raise ValueError("stride_lines must be >= 1")
-        if self.batch_accesses < 1:
-            raise ValueError("batch_accesses must be >= 1")
-        if self.batch_accesses > 1 and self.write_fraction > 0:
-            raise ValueError(
-                "batch_accesses > 1 requires a read-only profile "
-                "(cpu_access_run issues homogeneous read runs)"
-            )
 
 
 class _SynthState:
@@ -146,43 +132,8 @@ class SyntheticWorkload(Workload):
         random = rng.random
         nbits = lines.bit_length()
 
-        def next_addr():
-            index = st.index
-            if sequential:
-                addr = base + index
-                index += 1
-                if index >= lines:
-                    index = 0
-            elif strided:
-                addr = base + index
-                index += stride
-                if index >= lines:
-                    index = (index + 1) % stride  # rotate the phase
-            else:
-                r = getrandbits(nbits)
-                while r >= lines:
-                    r = getrandbits(nbits)
-                addr = base + r
-            st.index = index
-            return addr
-
-        if profile.batch_accesses > 1:
-            # Opt-in coalescing: ``batch_accesses`` loop iterations become
-            # one event.  The addresses visited and the total cycles charged
-            # match the per-access loop; only the event timeline coarsens
-            # (all accesses of a batch land at the same ``now``).
-            cpu_access_run = server.hierarchy.cpu_access_run
-            while True:
-                addrs = []
-                for _ in range(profile.batch_accesses):
-                    addrs.extend([next_addr()] * repeats)
-                latency = cpu_access_run(sim.now, core, addrs, name)
-                counters.instructions += instructions * len(addrs)
-                yield latency + compute * len(addrs)
-
         while True:
             if st.rep == 0:
-                # ``next_addr`` inlined: this loop runs once per access.
                 if sequential:
                     index = st.index
                     addr = base + index

@@ -1,20 +1,25 @@
-"""Randomized batch/scalar parity: batched dispatch is a pure perf mode.
+"""Randomized burst/line parity: a burst is exactly its lines, one by one.
 
-Every test here drives two identical hierarchies — one with batching
-forced on, one forced off — through the same randomized interleaved
-DMA/CPU operation stream and asserts the end states are *identical*:
-counters (every stream, every field), trace events, memory-controller
-state, and the full cache state (LLC lines, MLC contents, snoop-filter
-entries, including recency ordering).  Streams include the control-flow
-boundaries the batched path must flush around: DCA-way reprogramming,
-CLOS mask rewrites, non-allocating flows, and the write-update ablation.
+The DMA write loop handles a whole burst (or NVMe quantum) per call: it
+sums memory write-backs per stream and issues them once when the call
+ends, and it recycles dead LLC records.  Every test here drives two
+identical hierarchies through the same randomized interleaved DMA/CPU
+operation stream — one with the multi-line operations as issued
+("batched": ``dma_write_burst``, ``dma_write_multi``, ``cpu_access_run``),
+one with each of them split into single-line calls ("scalar":
+``dma_write``, ``cpu_access``) — and asserts the end states are
+*identical*: counters (every stream, every field), trace events,
+memory-controller state, and the full cache state (LLC lines, MLC
+contents, snoop-filter entries, including recency ordering).  Streams
+include DCA-way reprogramming, CLOS mask rewrites, non-allocating flows,
+and the write-update ablation.
 
 Coverage spans all three platform presets and, at the end, a full server
 run with fault injection enabled.  After every operation both hierarchies
 also pass :func:`check_invariants`, which catches, among other things, a
 reused line or directory record left reachable from two places.  The
 last test checks that a process building a figure's server never imports
-numpy, which the batched paths no longer use, nor the process pool.
+numpy, nor the process pool.
 """
 
 import os
@@ -30,7 +35,6 @@ from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.llc import LlcConfig
 from repro.platform import CASCADELAKE_SP, ICELAKE_SP, SKYLAKE_SP
 from repro.rdt.cat import CacheAllocation
-from repro.sim import batch
 from repro.telemetry.counters import CounterBank
 from repro.uncore.memory import MemoryController
 
@@ -162,14 +166,16 @@ def check_invariants(hierarchy):
             assert entry.holders, f"sf {addr:#x} has no holders"
             once(entry, f"sf {addr:#x}")
             once(entry.holders, f"sf {addr:#x} holders")
-    spare = hierarchy._spare_line
-    if spare is not None:
-        # The record a victim-cache hit parked for reuse is dead: in no
-        # slot (``once`` has seen every slot) and no index, and clean.
+    indexed = {
+        id(line) for wayset in hierarchy.llc._sets
+        for line in wayset.index.values()
+    }
+    for spare in hierarchy._spare_lines:
+        # A record parked for reuse is dead: in no slot (``once`` has seen
+        # every slot), no index and not parked twice, and clean.
         once(spare, "spare llc line")
         once(spare.holders, "spare llc line holders")
-        for wayset in hierarchy.llc._sets:
-            assert all(line is not spare for line in wayset.index.values())
+        assert id(spare) not in indexed
         assert not spare.holders and not spare.meta
 
 
@@ -220,19 +226,35 @@ def make_ops(rng, nops=400):
     return ops
 
 
-def apply_ops(hierarchy, cat, ops):
-    """Replay an op stream; returns summed CPU latencies (scalar order)."""
+def apply_ops(hierarchy, cat, ops, per_line=False):
+    """Replay an op stream; returns summed CPU latencies.  ``per_line``
+    issues every burst, quantum and run one line per call."""
     now = 0.0
     total = 0.0
     for op in ops:
         now += 7.0
         kind = op[0]
-        if kind == "burst":
+        if kind == "burst" and per_line:
+            _, addr, lines, allocating = op
+            for line in range(addr, addr + lines):
+                hierarchy.dma_write(now, line, "nic", allocating)
+        elif kind == "burst":
             _, addr, lines, allocating = op
             hierarchy.dma_write_burst(now, addr, lines, "nic", allocating)
+        elif kind == "multi" and per_line:
+            _, spans, allocating = op
+            for base, lines, stream in spans:
+                for line in range(base, base + lines):
+                    hierarchy.dma_write(now, line, stream, allocating)
         elif kind == "multi":
             _, spans, allocating = op
             hierarchy.dma_write_multi(now, spans, allocating)
+        elif kind == "run" and per_line:
+            _, core, run, io_read = op
+            for addr in run:
+                total += hierarchy.cpu_access(
+                    now, core, addr, "cpu", io_read=io_read
+                )
         elif kind == "run":
             _, core, run, io_read = op
             total += hierarchy.cpu_access_run(
@@ -258,10 +280,9 @@ def apply_ops(hierarchy, cat, ops):
     return total
 
 
-def run_once(spec, ops, batching, llc_overrides=None, **cfg_overrides):
+def run_once(spec, ops, per_line=False, llc_overrides=None, **cfg_overrides):
     hierarchy, bank, cat = build_hierarchy(spec, llc_overrides, **cfg_overrides)
-    hierarchy.set_batching(batching)
-    total = apply_ops(hierarchy, cat, ops)
+    total = apply_ops(hierarchy, cat, ops, per_line)
     return full_state(hierarchy, bank), total
 
 
@@ -271,36 +292,34 @@ def test_batch_scalar_parity(platform, seed):
     spec = PLATFORMS[platform]
     salt = sorted(PLATFORMS).index(platform)
     ops = make_ops(random.Random((seed << 8) ^ salt))
-    scalar_state, scalar_total = run_once(spec, ops, batching=False)
-    batched_state, batched_total = run_once(spec, ops, batching=True)
+    scalar_state, scalar_total = run_once(spec, ops, per_line=True)
+    batched_state, batched_total = run_once(spec, ops)
     assert batched_state == scalar_state
-    # Total latency: bulk multiply vs repeated add may differ in the last
-    # float bit for non-integral latencies; parity is semantic, not ULP.
+    # Total latency: a run's subtotal vs one running sum may differ in the
+    # last float bit for non-integral latencies; parity is semantic, not ULP.
     assert batched_total == pytest.approx(scalar_total, rel=0, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_parity_under_write_update_ablation(seed):
-    """The ablation disables the batched allocating flow (scalar fallback);
-    the end state must still match a batching-off run exactly."""
+    """The ablation re-allocates every updated line inside the same loop;
+    bursts must still match per-line writes exactly."""
     ops = make_ops(random.Random(seed), nops=250)
     scalar_state, _ = run_once(
-        SKYLAKE_SP, ops, batching=False, ddio_write_update=False
+        SKYLAKE_SP, ops, per_line=True, ddio_write_update=False
     )
-    batched_state, _ = run_once(
-        SKYLAKE_SP, ops, batching=True, ddio_write_update=False
-    )
+    batched_state, _ = run_once(SKYLAKE_SP, ops, ddio_write_update=False)
     assert batched_state == scalar_state
 
 
 @pytest.mark.parametrize("seed", [31, 32])
 def test_parity_without_inclusive_migration(seed):
     """Without migration, CPU-read I/O lines keep holders inside the DCA
-    ways, so batched DMA allocations meet inclusive victims."""
+    ways, so DMA allocations meet inclusive victims."""
     ops = make_ops(random.Random(seed), nops=250)
     no_migration = {"inclusive_migration": False}
-    scalar_state, _ = run_once(SKYLAKE_SP, ops, False, no_migration)
-    batched_state, _ = run_once(SKYLAKE_SP, ops, True, no_migration)
+    scalar_state, _ = run_once(SKYLAKE_SP, ops, True, no_migration)
+    batched_state, _ = run_once(SKYLAKE_SP, ops, False, no_migration)
     assert batched_state == scalar_state
 
 
@@ -308,22 +327,23 @@ def test_parity_without_inclusive_migration(seed):
 def test_parity_with_self_invalidation(seed):
     ops = make_ops(random.Random(seed), nops=250)
     scalar_state, _ = run_once(
-        SKYLAKE_SP, ops, batching=False, self_invalidate_consumed=True
+        SKYLAKE_SP, ops, per_line=True, self_invalidate_consumed=True
     )
     batched_state, _ = run_once(
-        SKYLAKE_SP, ops, batching=True, self_invalidate_consumed=True
+        SKYLAKE_SP, ops, self_invalidate_consumed=True
     )
     assert batched_state == scalar_state
 
 
 def test_parity_trace_events():
-    """With the observability layer on, both modes emit the same events."""
+    """With the observability layer on, both replays emit the same
+    events."""
     ops = make_ops(random.Random(99), nops=200)
 
-    def traced(batching):
+    def traced(per_line):
         obsv.enable()
         try:
-            state, _ = run_once(SKYLAKE_SP, ops, batching=batching)
+            state, _ = run_once(SKYLAKE_SP, ops, per_line)
             events = [
                 (e.ts, e.epoch, e.kind, e.name, e.data)
                 for e in obsv.TRACER.events
@@ -332,18 +352,19 @@ def test_parity_trace_events():
             obsv.disable()
         return state, events
 
-    scalar_state, scalar_events = traced(False)
-    batched_state, batched_events = traced(True)
+    scalar_state, scalar_events = traced(True)
+    batched_state, batched_events = traced(False)
     assert batched_state == scalar_state
     assert batched_events == scalar_events
 
 
 def test_parity_non_lru_policy_falls_back():
-    """RRIP hierarchies never take the batched allocating flow; results
-    with batching on must equal batching off regardless."""
+    """RRIP hierarchies fall back from the inlined LRU allocate to the
+    policy object inside the same loop; bursts must still equal per-line
+    writes."""
     ops = make_ops(random.Random(7), nops=250)
 
-    def run_rrip(batching):
+    def run_rrip(per_line):
         bank = CounterBank()
         cat = CacheAllocation()
         memory = MemoryController(bank)
@@ -354,8 +375,7 @@ def test_parity_non_lru_policy_falls_back():
             mlc_ways=2,
         )
         hierarchy = CacheHierarchy(cfg, cat, memory, bank)
-        hierarchy.set_batching(batching)
-        apply_ops(hierarchy, cat, ops)
+        apply_ops(hierarchy, cat, ops, per_line)
         return full_state(hierarchy, bank)
 
     # RRIP lines have no meaningful ``lru`` tick; states still compare
@@ -365,7 +385,8 @@ def test_parity_non_lru_policy_falls_back():
 
 def test_parity_full_server_with_faults(monkeypatch):
     """End-to-end: the canonical mixed server with fault injection on is
-    bit-identical with batching globally enabled vs disabled."""
+    bit-identical when every NIC burst and NVMe quantum reaches the cache
+    one line per call."""
     from repro.experiments.harness import Server
     from repro.faults import ENV_FAULT_INTENSITY
     from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
@@ -373,10 +394,21 @@ def test_parity_full_server_with_faults(monkeypatch):
     from repro.workloads.fio import FioWorkload
 
     monkeypatch.setenv(ENV_FAULT_INTENSITY, "1.0")
+    burst = CacheHierarchy.dma_write_burst
 
-    def run_server(batching):
-        previous = batch.set_enabled(batching)
-        try:
+    def burst_per_line(self, now, base_addr, lines, stream, allocating):
+        for addr in range(base_addr, base_addr + lines):
+            burst(self, now, addr, 1, stream, allocating)
+
+    def multi_per_line(self, now, spans, allocating):
+        for base_addr, lines, stream in spans:
+            burst_per_line(self, now, base_addr, lines, stream, allocating)
+
+    def run_server(per_line):
+        with monkeypatch.context() as patch:
+            if per_line:
+                patch.setattr(CacheHierarchy, "dma_write_burst", burst_per_line)
+                patch.setattr(CacheHierarchy, "dma_write_multi", multi_per_line)
             server = Server(cores=6, seed=0xA4)
             server.add_workload(
                 DpdkWorkload(
@@ -396,11 +428,9 @@ def test_parity_full_server_with_faults(monkeypatch):
                 for name, counters in server.counters.streams.items()
             }
             return totals, server.sim.events_executed, len(run.samples)
-        finally:
-            batch.set_enabled(previous)
 
-    scalar = run_server(False)
-    batched = run_server(True)
+    scalar = run_server(True)
+    batched = run_server(False)
     assert batched == scalar
 
 
@@ -420,9 +450,9 @@ for name in ("numpy", "concurrent.futures", "multiprocessing"):
 
 
 def test_simulator_does_not_import_numpy():
-    """The batched paths compute set indices inline, so no process that
-    builds a figure's server should pay numpy's import cost; nor should a
-    serial batch pay for the process pool's.  A fresh interpreter is
+    """The cache computes set indices inline, so no process that builds a
+    figure's server should pay numpy's import cost; nor should a serial
+    batch pay for the process pool's.  A fresh interpreter is
     needed because the test runner may import either itself."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -4,8 +4,9 @@ The contract under test: snapshot at epoch N, restore, continue M epochs
 == one uninterrupted N+M run, *bit-identical* — same simulated clock,
 same executed-event count, same per-stream counter state, and (with the
 observability layer on) the same trace events.  The matrix covers every
-platform preset, both dispatch modes (batched and scalar), and fault
-injection, because each snapshots different state at construction time.
+platform preset and fault injection, because each snapshots different
+state at construction time, and a snapshot taken while DPDK and FIO
+bodies sit in the middle of their per-line arms.
 
 Also here: the far-heap ``pending()`` regression (satellite 1 — events
 beyond the calendar-wheel horizon must be visible to inspection and to
@@ -32,7 +33,7 @@ from repro.experiments.scenarios import (
 from repro.faults.plan import FaultPlan
 from repro.obsv import KIND_CHECKPOINT, KIND_EPOCH, KIND_PLATFORM, KIND_SPAN
 from repro.platform import get_platform
-from repro.sim import batch, checkpoint
+from repro.sim import checkpoint
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -97,11 +98,14 @@ def _fingerprint(server):
     )
 
 
-def _roundtrip(build, n=3, m=3, warmup=1):
+def _roundtrip(build, n=3, m=3, warmup=1, at_snapshot=None):
     """Run split (n, snapshot, restore, m) and continuous (n+m); both
-    fingerprints must agree exactly."""
+    fingerprints must agree exactly.  ``at_snapshot(server)`` inspects the
+    first server just before it is snapshotted."""
     first = build()
     first.run(epochs=n, warmup=warmup)
+    if at_snapshot is not None:
+        at_snapshot(first)
     state = checkpoint.snapshot(first)
     resumed = checkpoint.restore(state)
     resumed.run(epochs=m, warmup=0)
@@ -119,13 +123,35 @@ def test_roundtrip_bit_identical_per_platform(platform):
     _roundtrip(lambda: _micro_server(platform))
 
 
-@pytest.mark.parametrize("batching", (True, False), ids=("batch", "scalar"))
-def test_roundtrip_bit_identical_both_dispatch_modes(batching):
-    previous = batch.set_enabled(batching)
-    try:
-        _roundtrip(_micro_server)
-    finally:
-        batch.set_enabled(previous)
+def _mid_arm(server):
+    """DPDK consumers past the second line of their payload arm, and FIO
+    threads part-way through a block scan, at this instant."""
+    consumers = scans = 0
+    for _, method, args in server.sim._factories.values():
+        st = args[-1]
+        if method == "_consumer_body" and st.pc == 1 and st.offset > 1:
+            consumers += 1
+        elif (
+            method == "_thread_body"
+            and st.pc == 2
+            and 0 < st.offset < st.command.lines
+        ):
+            scans += 1
+    return consumers, scans
+
+
+def test_roundtrip_bit_identical_mid_arm():
+    """Snapshot while a DPDK consumer is mid-payload and an FIO thread
+    mid-scan.  Their loops keep the line position in locals and a restored
+    body restarts from ``st`` alone, so the bit-identical continuation
+    proves every yield wrote ``st`` first."""
+
+    def in_the_middle(server):
+        consumers, scans = _mid_arm(server)
+        assert consumers > 0, "no DPDK consumer inside its payload arm"
+        assert scans > 0, "no FIO thread mid-scan"
+
+    _roundtrip(_micro_server, at_snapshot=in_the_middle)
 
 
 def test_roundtrip_bit_identical_under_fault_injection():

@@ -1,7 +1,8 @@
 """Golden lock on the cache hot path: exact outputs pinned by digest.
 
-The parity tests prove batched and scalar dispatch agree with each other;
-these tests prove neither has drifted from the recorded behaviour.  Each
+The parity tests prove bursts and their lines issued one by one agree
+with each other; these tests prove neither has drifted from the recorded
+behaviour.  Each
 case hashes a canonical dump of a finished run, so any change to any
 counter, recency tick, line placement or latency statistic fails here —
 which is the point: a performance change to ``cache/hierarchy.py`` must
@@ -12,7 +13,8 @@ Two kinds of run are pinned:
 
 * fixed randomized op streams (the parity suite's generator) driven
   through small hierarchies of every platform preset and of the
-  behavioural ablations, once with batching on and once off;
+  behavioural ablations, once as issued ("batched") and once with every
+  burst, quantum and run split into single-line calls ("scalar");
 * the epoch samples of Fig. 11's a4 / 1024 B cell (DPDK-T, FIO and
   X-Mem 1-3 under A4), 3 epochs with 1 warm-up, at two seeds;
 * the epoch samples of a seeded 6-tenant population under A4 (the
@@ -96,11 +98,11 @@ OP_STREAM_GOLDENS = {
 
 
 @pytest.mark.parametrize("case", sorted(OP_STREAM_CASES))
-@pytest.mark.parametrize("batching", [False, True], ids=["scalar", "batched"])
-def test_op_stream_golden(case, batching):
+@pytest.mark.parametrize("per_line", [True, False], ids=["scalar", "batched"])
+def test_op_stream_golden(case, per_line):
     spec, llc_overrides, overrides, seed = OP_STREAM_CASES[case]
     ops = make_ops(random.Random(seed), nops=300)
-    state, _ = run_once(spec, ops, batching, llc_overrides, **overrides)
+    state, _ = run_once(spec, ops, per_line, llc_overrides, **overrides)
     assert _state_digest(state) == OP_STREAM_GOLDENS[case]
 
 

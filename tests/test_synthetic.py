@@ -24,13 +24,6 @@ def test_profile_validation():
         AccessProfile(working_set_lines=10, write_fraction=1.5)
     with pytest.raises(ValueError):
         AccessProfile(working_set_lines=10, repeats=0)
-    with pytest.raises(ValueError):
-        AccessProfile(working_set_lines=10, batch_accesses=0)
-    with pytest.raises(ValueError):
-        # Coalesced runs are homogeneous reads; stores need the exact loop.
-        AccessProfile(
-            working_set_lines=10, batch_accesses=8, write_fraction=0.5
-        )
 
 
 def test_small_ws_reaches_high_hit_rate():
@@ -115,29 +108,6 @@ def test_stride_pattern_covers_working_set():
     server.run(epochs=3, warmup=1)
     counters = server.counters.stream("strider")
     assert counters.mlc_hits + counters.mlc_misses > 0
-
-
-def test_batch_accesses_matches_scalar_access_totals():
-    """The coalescing knob must visit the same lines and charge the same
-    instruction count as the per-access loop; only event granularity (and
-    therefore how far an epoch budget stretches) may differ."""
-    scalar = AccessProfile(working_set_lines=256, repeats=2)
-    batched = AccessProfile(working_set_lines=256, repeats=2, batch_accesses=16)
-
-    def totals(profile, name):
-        server = Server(cores=2, seed=7)
-        server.add_workload(SyntheticWorkload(name, profile, "HPW", cores=1))
-        server.run(epochs=3, warmup=1)
-        counters = server.counters.stream(name)
-        accesses = counters.mlc_hits + counters.mlc_misses
-        events = server.sim.events_executed
-        return counters.instructions / max(accesses, 1), accesses, events
-
-    ipa_s, accesses_s, events_s = totals(scalar, "s")
-    ipa_b, accesses_b, events_b = totals(batched, "b")
-    assert ipa_b == ipa_s  # instructions-per-access preserved exactly
-    assert accesses_b > 0 and accesses_s > 0
-    assert events_b < events_s  # that's the point of the knob
 
 
 def test_stride_validation():
