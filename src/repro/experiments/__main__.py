@@ -190,11 +190,23 @@ def _main(argv) -> int:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="enable the observability layer and write the metrics "
-        "registry as Prometheus text to PATH (plus a JSON snapshot "
-        "at PATH.json)",
+        help="enable the observability layer and write a JSON run "
+        "summary to PATH: run-cache counts, trace size and per-phase "
+        "engine attribution",
     )
     args = parser.parse_args(argv)
+
+    # An output file the run cannot write should fail before the figures
+    # simulate, not after.
+    for flag, path in (
+        ("--trace", args.trace),
+        ("--chrome-trace", args.chrome_trace),
+        ("--metrics-out", args.metrics_out),
+    ):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"{flag}: the directory of {path} does not exist",
+                  file=sys.stderr)
+            return 2
 
     if args.fault_intensity is not None:
         if args.fault_intensity < 0:
@@ -223,7 +235,6 @@ def _main(argv) -> int:
     obsv_on = bool(args.trace or args.chrome_trace or args.metrics_out)
     if obsv_on:
         obsv.enable()
-        obsv.set_registry(None)  # fresh registry per invocation
 
     def export_obsv() -> None:
         """Flush trace / metrics files (called before every return path).
@@ -234,7 +245,6 @@ def _main(argv) -> int:
         if not obsv_on:
             return
         from repro.obsv import export as obsv_export
-        from repro.obsv.metrics import collect_process, get_registry
 
         tracer = obsv.TRACER
         if args.trace:
@@ -245,21 +255,22 @@ def _main(argv) -> int:
             obsv_export.write_chrome_trace(tracer.events, args.chrome_trace)
             print(f"[chrome trace -> {args.chrome_trace}]")
         if args.metrics_out:
-            registry = collect_process(get_registry())
-            if obsv.PROFILER is not None:
-                obsv.PROFILER.into_registry(registry)
-            registry.gauge(
-                "repro_trace_events", help="events in the trace ring"
-            ).set(len(tracer))
-            registry.gauge(
-                "repro_trace_dropped_total", help="events evicted from the ring"
-            ).set(tracer.dropped)
-            obsv_export.write_prometheus(registry, args.metrics_out)
-            import json as _json
+            import json
 
-            with open(args.metrics_out + ".json", "w") as fh:
-                _json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
-            print(f"[metrics -> {args.metrics_out} (+ .json snapshot)]")
+            from repro.obsv.metrics import counts_of
+
+            summary = {
+                "runcache": {
+                    **counts_of(cache.stats),
+                    "enabled": cache.enabled,
+                },
+                "trace": {"events": len(tracer), "dropped": tracer.dropped},
+                "profile": obsv.PROFILER.snapshot(),
+            }
+            with open(args.metrics_out, "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"[metrics -> {args.metrics_out}]")
 
     if args.list:
         for name in REGISTRY:

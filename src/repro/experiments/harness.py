@@ -221,12 +221,7 @@ class Server:
         profiler = obsv.PROFILER
         if profiler is not None:
             self.sim.profiler = profiler
-        epoch_hist = None
         if tracer is not None:
-            epoch_hist = obsv.get_registry().histogram(
-                "repro_epoch_wall_seconds",
-                help="wall time simulating one monitoring epoch",
-            )
             # Header event: which microarchitecture produced this trace.
             tracer.platform = self.platform.token
             tracer.emit(
@@ -236,12 +231,12 @@ class Server:
             )
             if obsv.AUDIT is not None:
                 obsv.AUDIT.platform = self.platform.token
-        return (faults, tracer, profiler, epoch_hist)
+        return (faults, tracer, profiler)
 
     def _run_epoch(self, ctx) -> EpochSample:
         """Simulate exactly one monitoring epoch (chaos, events, sample,
         manager) and advance ``epochs_completed``."""
-        faults, tracer, profiler, epoch_hist = ctx
+        faults, tracer, profiler = ctx
         i = self.epochs_completed
         if tracer is not None:
             tracer.epoch = i
@@ -260,7 +255,6 @@ class Server:
         self.sim.run_until(self.sim.now + self.epoch_cycles)
         sample = self.pcm.sample(self.sim.now)
         if tracer is not None:
-            wall = perf_counter() - wall_started
             tracer.now = self.sim.now
             tracer.emit(
                 obsv.KIND_EPOCH,
@@ -270,9 +264,8 @@ class Server:
                     "events": self.sim.events_executed,
                     "mem_bw": sample.mem_total_bw,
                 },
-                wall=wall,
+                wall=perf_counter() - wall_started,
             )
-            epoch_hist.observe(wall)
         if self.manager is not None:
             if faults is not None:
                 faults.advance_epoch()

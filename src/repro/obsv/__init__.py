@@ -1,6 +1,6 @@
-"""Zero-cost-when-off observability: tracing, metrics, audit, profiling.
+"""Zero-cost-when-off observability: tracing, audit, profiling.
 
-The layer is three cooperating pieces plus a profiler, all process-global
+The layer is two cooperating pieces plus a profiler, all process-global
 and **off by default**:
 
 * :data:`TRACER` — a bounded ring buffer of typed :class:`TraceEvent`\\ s
@@ -14,11 +14,6 @@ and **off by default**:
   chosen action.  Decisions mirror into the tracer as ``decision``
   events, so one JSONL file carries the whole story and
   ``tools/obsv.py explain-epoch`` can replay it post-run.
-* the **metrics registry** (:mod:`repro.obsv.metrics`) — process-wide
-  counters/gauges/histograms with labels, exported as Prometheus text
-  and a JSON snapshot.  Unlike the tracer it always exists (it is
-  passive until someone observes into it) and also hosts the shared
-  stats-dict merge helpers used by the run cache and the chaos sweep.
 * :data:`PROFILER` — per-phase wall/cycle/event attribution recorded by
   :meth:`repro.sim.engine.Simulator.run_until` (see
   :mod:`repro.obsv.profile`).
@@ -28,7 +23,8 @@ by a single ``obsv.TRACER is not None`` (or ``obsv.AUDIT``/``profiler``)
 check: with the layer disabled no event objects are built, no dicts are
 allocated, and runs are bit-identical to a tree without the layer.
 Enable with :func:`enable` (or ``--trace`` / ``--metrics-out`` on the
-figures CLI), tear down with :func:`disable`.
+figures CLI), tear down with :func:`disable`.  :mod:`repro.obsv.metrics`
+holds the stats-dict merge helpers the run cache and chaos sweep share.
 """
 
 from __future__ import annotations
@@ -37,12 +33,6 @@ import os
 from typing import Optional
 
 from repro.obsv.audit import AuditTrail, Decision
-from repro.obsv.metrics import (
-    MetricsRegistry,
-    get_registry,
-    merge_counts,
-    set_registry,
-)
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import (
     KIND_CHECKPOINT,
@@ -133,7 +123,6 @@ __all__ = [
     "KIND_SPAN",
     "KIND_TENANT",
     "KIND_ZONE",
-    "MetricsRegistry",
     "PROFILER",
     "PhaseProfiler",
     "TRACER",
@@ -142,7 +131,4 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "get_registry",
-    "merge_counts",
-    "set_registry",
 ]

@@ -1,6 +1,6 @@
-"""Exporters: JSONL traces, Chrome trace-event JSON, Prometheus text.
+"""Exporters: JSONL traces and Chrome trace-event JSON.
 
-Three formats, all lossless where it matters:
+Two formats, both lossless where it matters:
 
 * **JSONL** — one :class:`~repro.obsv.tracer.TraceEvent` per line;
   :func:`read_jsonl` reloads to *identical* event objects (the round
@@ -12,9 +12,6 @@ Three formats, all lossless where it matters:
   events map to ``ph: "X"`` complete events with their wall-clock
   duration.  :func:`validate_chrome_trace` checks the schema the viewer
   actually requires.
-* **Prometheus text exposition** — counters/gauges/histograms from a
-  :class:`~repro.obsv.metrics.MetricsRegistry`; :func:`parse_prometheus`
-  is the matching (strict, subset) parser used by the tests.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple, Union
+from typing import Any, Dict, Iterable, List, Union
 
-from repro.obsv.metrics import Histogram, MetricsRegistry
 from repro.obsv.tracer import KIND_EPOCH, KIND_SPAN, TraceEvent
 
 PathLike = Union[str, Path]
@@ -153,90 +149,3 @@ def validate_chrome_trace(doc: Any) -> None:
             raise ValueError(f"traceEvents[{i}]: non-numeric ts")
         if phase == "X" and not isinstance(entry.get("dur"), (int, float)):
             raise ValueError(f"traceEvents[{i}]: complete event without dur")
-
-
-# -- Prometheus text exposition --------------------------------------------
-
-
-def _label_str(labels: Tuple[Tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{value}"'
-        for key, value in labels
-    )
-    return "{" + inner + "}"
-
-
-def _fmt_value(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
-    lines: List[str] = []
-    seen_header = set()
-    for name, labels, metric in registry.items():
-        if name not in seen_header:
-            seen_header.add(name)
-            help_text = registry.help_of(name)
-            if help_text:
-                lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {registry.type_of(name)}")
-        if isinstance(metric, Histogram):
-            for bound, count in zip(metric.buckets, metric.counts):
-                bucket_labels = labels + (("le", f"{bound:g}"),)
-                lines.append(
-                    f"{name}_bucket{_label_str(bucket_labels)} {count}"
-                )
-            inf_labels = labels + (("le", "+Inf"),)
-            lines.append(
-                f"{name}_bucket{_label_str(inf_labels)} {metric.count}"
-            )
-            lines.append(
-                f"{name}_sum{_label_str(labels)} {_fmt_value(metric.sum)}"
-            )
-            lines.append(f"{name}_count{_label_str(labels)} {metric.count}")
-        else:
-            lines.append(
-                f"{name}{_label_str(labels)} {_fmt_value(metric.value)}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(registry: MetricsRegistry, path: PathLike) -> None:
-    with open(path, "w") as handle:
-        handle.write(render_prometheus(registry))
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse text exposition back into ``{name{labels}: value}``.
-
-    Strict about structure (raises :class:`ValueError` on a malformed
-    line) but limited to the subset :func:`render_prometheus` emits —
-    enough for the round-trip and 'output parses' tests."""
-    samples: Dict[str, float] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                raise ValueError(f"line {line_no}: malformed comment {raw!r}")
-            continue
-        try:
-            series, value_text = line.rsplit(None, 1)
-            value = float(value_text)
-        except ValueError:
-            raise ValueError(
-                f"line {line_no}: not a sample line {raw!r}"
-            ) from None
-        if "{" in series and not series.endswith("}"):
-            raise ValueError(f"line {line_no}: unterminated labels {raw!r}")
-        samples[series] = value
-    if not samples:
-        raise ValueError("no samples found")
-    return samples

@@ -60,20 +60,6 @@ class PhaseProfiler:
             for label, stats in sorted(self.phases.items())
         }
 
-    def into_registry(self, registry) -> None:
-        """Export attribution as labeled gauges (``phase=<label>``)."""
-        for label, stats in self.phases.items():
-            registry.gauge(
-                "repro_profile_wall_seconds",
-                help="engine wall time attributed to this phase",
-                phase=label,
-            ).set(stats.wall_s)
-            registry.gauge(
-                "repro_profile_events",
-                help="engine events attributed to this phase",
-                phase=label,
-            ).set(stats.events)
-
     def table(self) -> str:
         """Human-readable attribution table, widest wall share first."""
         total = self.total_wall or 1.0

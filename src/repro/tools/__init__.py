@@ -1,8 +1,4 @@
 """Operator tools: simulated analogues of the paper artifact's tooling.
 
-* :mod:`repro.tools.pcm`       — Intel PCM-style live counter monitor;
-* :mod:`repro.tools.pqos`      — intel-cmt-cat/pqos-style CAT inspection
-  and allocation with `llc:<clos>=<mask>` syntax;
-* :mod:`repro.tools.ddiobench` — ddio-bench-style DDIO effectiveness
-  probe (DCA hit rate vs. device footprint and rate).
+* :mod:`repro.tools.pcm` — Intel PCM-style live counter monitor.
 """

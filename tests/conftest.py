@@ -31,17 +31,14 @@ def _isolated_run_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _obsv_off():
-    """Leave the observability layer off and the metrics registry fresh.
+    """Leave the observability layer off.
 
-    Tests that enable tracing (or write metrics) must not leak a live
-    tracer or populated registry into the next test — the layer is
-    process-global by design."""
+    Tests that enable tracing must not leak a live tracer into the next
+    test — the layer is process-global by design."""
     from repro import obsv
-    from repro.obsv import metrics
 
     yield
     obsv.disable()
-    metrics.set_registry(None)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
-"""Tests for the observability layer: tracer, metrics, audit, exporters,
-profiling, the A4 integration, and the zero-cost-when-off guarantee."""
+"""Tests for the observability layer: tracer, audit, exporters, the
+stats-dict merge helpers, profiling, the A4 integration, and the
+zero-cost-when-off guarantee."""
 
 from __future__ import annotations
 
@@ -11,14 +12,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obsv
-from repro.obsv import export, metrics
+from repro.obsv import export
 from repro.obsv.audit import AuditTrail
-from repro.obsv.metrics import (
-    MetricsRegistry,
-    counts_of,
-    diff_counts,
-    merge_counts,
-)
+from repro.obsv.metrics import counts_of, diff_counts, merge_counts
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import TraceEvent, Tracer
 
@@ -103,69 +99,7 @@ class TestEnableDisable:
         assert obsv.TRACER is not None and obsv.PROFILER is None
 
 
-# -- metrics registry -------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_only_goes_up(self):
-        counter = metrics.Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = metrics.Gauge()
-        gauge.set(10)
-        gauge.dec(3)
-        gauge.inc()
-        assert gauge.value == 8
-
-    def test_histogram_buckets_are_cumulative(self):
-        hist = metrics.Histogram(buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.counts == [1, 2, 3]
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(55.55)
-        assert hist.quantile_bound(0.5) == 1.0
-
-    def test_registry_get_or_create(self):
-        registry = MetricsRegistry()
-        a = registry.counter("repro_x_total", help="x")
-        b = registry.counter("repro_x_total")
-        assert a is b
-        assert registry.help_of("repro_x_total") == "x"
-        assert registry.type_of("repro_x_total") == "counter"
-
-    def test_registry_labels_make_distinct_series(self):
-        registry = MetricsRegistry()
-        a = registry.gauge("repro_g", phase="stable")
-        b = registry.gauge("repro_g", phase="expanding")
-        assert a is not b
-        assert len(registry.items()) == 2
-
-    def test_registry_rejects_type_conflicts(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total")
-        with pytest.raises(TypeError):
-            registry.gauge("repro_x_total")
-
-    def test_snapshot_is_json_serializable(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_c_total").inc(2)
-        registry.histogram("repro_h_seconds", buckets=(1.0,)).observe(0.5)
-        snap = json.loads(json.dumps(registry.snapshot()))
-        assert snap["repro_c_total"]["series"][0]["value"] == 2
-        assert snap["repro_h_seconds"]["series"][0]["value"]["count"] == 1
-
-    def test_process_registry_swap(self):
-        fresh = MetricsRegistry()
-        metrics.set_registry(fresh)
-        assert metrics.get_registry() is fresh
-        metrics.set_registry(None)
-        assert metrics.get_registry() is not fresh
+# -- stats-dict merge helpers ------------------------------------------------
 
 
 @dataclass
@@ -200,21 +134,6 @@ class TestMergeHelpers:
         before = _Stats(hits=1, misses=1)
         after = _Stats(hits=4, misses=1)
         assert diff_counts(after, before) == {"hits": 3, "misses": 0}
-
-    def test_collect_process_exports_runcache_and_dispatch(self):
-        registry = metrics.collect_process(MetricsRegistry())
-        names = {name for name, _, _ in registry.items()}
-        assert "repro_runcache_hits_total" in names
-        assert "repro_runcache_enabled" in names
-
-    def test_collect_robustness_labels_by_manager(self):
-        registry = metrics.collect_robustness(
-            {"held_over": 3}, manager="a4", registry=MetricsRegistry()
-        )
-        ((name, labels, metric),) = registry.items()
-        assert name == "repro_manager_held_over"
-        assert labels == (("manager", "a4"),)
-        assert metric.value == 3
 
 
 # -- audit trail ------------------------------------------------------------
@@ -343,31 +262,6 @@ class TestChromeTrace:
             export.validate_chrome_trace(doc)
 
 
-class TestPrometheus:
-    def test_render_parse_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_hits_total", help="hits").inc(3)
-        registry.gauge("repro_g", phase="stable").set(1.5)
-        registry.histogram("repro_h_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        text = export.render_prometheus(registry)
-        assert "# HELP repro_hits_total hits" in text
-        assert "# TYPE repro_h_seconds histogram" in text
-        series = export.parse_prometheus(text)
-        assert series["repro_hits_total"] == 3
-        assert series['repro_g{phase="stable"}'] == 1.5
-        assert series['repro_h_seconds_bucket{le="0.1"}'] == 1
-        assert series['repro_h_seconds_bucket{le="+Inf"}'] == 1
-        assert series["repro_h_seconds_count"] == 1
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "repro_x\n", "# BOGUS\n", "repro_x{unterminated 1\n"],
-    )
-    def test_parse_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            export.parse_prometheus(text)
-
-
 # -- profiler ---------------------------------------------------------------
 
 
@@ -383,14 +277,6 @@ class TestProfiler:
         table = profiler.table()
         # Widest wall share first.
         assert table.index("expanding") < table.index("stable")
-
-    def test_into_registry(self):
-        profiler = PhaseProfiler()
-        profiler.record("stable", 0.25, 10, 100.0)
-        registry = MetricsRegistry()
-        profiler.into_registry(registry)
-        names = {(n, dict(l).get("phase")) for n, l, _ in registry.items()}
-        assert ("repro_profile_wall_seconds", "stable") in names
 
     def test_engine_records_only_when_attached(self):
         from repro.sim.engine import Simulator
@@ -483,7 +369,6 @@ def _small_run(epochs: int = 4):
 
 class TestHarnessIntegration:
     def test_traced_run_emits_epochs_and_masks(self):
-        metrics.set_registry(None)
         tracer = obsv.enable()
         result = _small_run(epochs=4)
         epoch_events = tracer.by_kind(obsv.KIND_EPOCH)
@@ -492,9 +377,6 @@ class TestHarnessIntegration:
         assert len(tracer.by_kind(obsv.KIND_MASK)) > 0
         assert tracer.epoch == -1  # context reset after the run
         assert len(result.samples) == 4
-        # The per-epoch wall histogram observed once per epoch.
-        hist = metrics.get_registry().histogram("repro_epoch_wall_seconds")
-        assert hist.count == 4
         # The profiler attributed every epoch window.
         assert sum(s.windows for s in obsv.PROFILER.phases.values()) >= 4
 
@@ -574,13 +456,14 @@ class TestFaultedRuns:
     def test_figure_cli_writes_every_export(self, tmp_path):
         from repro.experiments.__main__ import main
 
-        trace, chrome, prom = (
+        trace, chrome, summary = (
             str(tmp_path / name)
-            for name in ("trace.jsonl", "trace.chrome.json", "metrics.prom")
+            for name in ("trace.jsonl", "trace.chrome.json", "metrics.json")
         )
         assert main([
             "fig8b", "--quick", "--no-cache", "--fault-intensity", "1.0",
-            "--trace", trace, "--chrome-trace", chrome, "--metrics-out", prom,
+            "--trace", trace, "--chrome-trace", chrome,
+            "--metrics-out", summary,
         ]) == 0
 
         events = export.read_jsonl(trace)
@@ -589,10 +472,26 @@ class TestFaultedRuns:
         assert export.read_jsonl(tmp_path / "again.jsonl") == events
         with open(chrome) as handle:
             export.validate_chrome_trace(json.load(handle))
-        with open(prom) as handle:
-            series = export.parse_prometheus(handle.read())
-        assert any(name.startswith("repro_trace_events") for name in series)
-        assert os.path.exists(prom + ".json")
+        with open(summary) as handle:
+            doc = json.load(handle)
+        assert set(doc) == {"runcache", "trace", "profile"}
+        assert doc["runcache"]["enabled"] is False
+        assert doc["trace"]["events"] > 0
+        assert doc["profile"]
+        assert not os.path.exists(summary + ".json")
+
+    def test_figure_cli_checks_output_dirs_before_running(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.__main__ import main
+
+        missing = str(tmp_path / "missing" / "m.json")
+        assert main(
+            ["fig8b", "--quick", "--no-cache", "--metrics-out", missing]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "done in" not in captured.out
+        assert "--metrics-out" in captured.err
 
     def test_chaos_reallocations_explained_from_trace(
         self, obsv_cli, tmp_path, capsys

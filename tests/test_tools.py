@@ -1,9 +1,8 @@
-"""Tests for the operator tools (pcm / pqos / ddiobench analogues)."""
+"""Tests for the operator tools (the pcm analogue)."""
 
 import pytest
 
-from repro.rdt.cat import ClosConfigError
-from repro.tools import ddiobench, pcm, pqos
+from repro.tools import pcm
 
 
 class TestPcmTool:
@@ -31,63 +30,3 @@ class TestPcmTool:
     def test_cli(self, capsys):
         assert pcm.main(["--epochs", "2"]) == 0
         assert "epoch 0" in capsys.readouterr().out
-
-
-class TestPqosTool:
-    def test_parse_mask_spec(self):
-        clos, ways = pqos.parse_mask_spec("llc:1=0x060")
-        assert clos == 1 and ways == [5, 6]
-
-    def test_parse_mask_spec_rejects_garbage(self):
-        for bad in ("llc:1", "mba:1=0x3", "llc:1=0x0", "llc:x=0x3"):
-            with pytest.raises(ClosConfigError):
-                pqos.parse_mask_spec(bad)
-
-    def test_parse_assoc_spec_ranges_and_lists(self):
-        clos, cores = pqos.parse_assoc_spec("llc:2=0-3")
-        assert clos == 2 and cores == [0, 1, 2, 3]
-        clos, cores = pqos.parse_assoc_spec("llc:3=1,4,7")
-        assert cores == [1, 4, 7]
-
-    def test_cli_show(self, capsys):
-        assert pqos.main(["--show"]) == 0
-        out = capsys.readouterr().out
-        assert "COS0" in out and "core associations" in out
-
-    def test_cli_applies_masks(self, capsys):
-        assert (
-            pqos.main(["-e", "llc:1=0x060", "-a", "llc:1=0-1", "--epochs", "2"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "COS1: 0x060" in out
-        assert "core 0: COS1" in out
-
-
-class TestDdioBench:
-    def test_probe_nic_footprint_scaling(self):
-        results = ddiobench.probe_nic(
-            ring_entries_sweep=(4, 32), epochs=3
-        )
-        small, large = results
-        assert large.footprint_lines > small.footprint_lines
-        # Small rings fit in the DCA ways and hit well.
-        assert small.dca_hit_rate > 0.9
-        assert not small.exceeds_dca and large.exceeds_dca
-
-    def test_probe_ssd_leak_onset(self):
-        results = ddiobench.probe_ssd(
-            block_sweep=(32 * 1024, 2 * 1024 * 1024), epochs=3
-        )
-        small, large = results
-        assert small.leak_fraction < 0.05
-        assert large.leak_fraction > 0.5
-
-    def test_render(self):
-        results = ddiobench.probe_nic(ring_entries_sweep=(4,), epochs=3)
-        text = ddiobench.render(results)
-        assert "DCA capacity" in text and "entries/ring" in text
-
-    def test_cli(self, capsys):
-        assert ddiobench.main(["--device", "nic", "--epochs", "2"]) == 0
-        assert "DCAhit%" in capsys.readouterr().out
