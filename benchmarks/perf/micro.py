@@ -26,7 +26,6 @@ from typing import Callable, Dict
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.rdt.cat import CacheAllocation
-from repro.sim import engine as engine_mod
 from repro.sim.engine import Simulator
 from repro.telemetry.counters import CounterBank, StreamCounters
 from repro.uncore.memory import MemoryController
@@ -139,29 +138,17 @@ def bench_counters(quick: bool) -> Dict[str, float]:
 
 
 def bench_wheel_engine(quick: bool) -> Dict[str, float]:
-    """Calendar-wheel stress: many processes at mixed delays.
+    """Mixed-delay ``run_until`` stress: many processes at mixed delays.
 
     Unlike ``engine`` (uniform 1-cycle ticks through ``step()``), this
-    drives ``run_until`` with delays straddling the wheel grain, crossing
-    bucket boundaries, and occasionally jumping past the wheel span into
-    the far heap — the distribution the bucket queue was shaped for."""
+    drives ``run_until`` with a ladder of short delays, exact ties between
+    processes, and an occasional long sleep, so the event heap stays
+    dozens of entries deep and re-schedules sift to varying depths.  The
+    scenario key predates the event heap (it once named a calendar wheel)
+    and is kept so bench records stay comparable."""
     target_events = 40_000 if quick else 200_000
     nprocs = 32
-    span = engine_mod.WHEEL_SLOTS * engine_mod.WHEEL_GRAIN
-    delays = (
-        1.0,
-        3.0,
-        engine_mod.WHEEL_GRAIN / 2,
-        engine_mod.WHEEL_GRAIN * 1.5,
-        17.0,
-        41.0,
-        engine_mod.WHEEL_GRAIN * 5 + 1.0,
-        span * 1.25,  # far-heap excursion
-        5.0,
-        engine_mod.WHEEL_GRAIN,
-        2.0,
-        73.0,
-    )
+    delays = (1.0, 3.0, 8.0, 24.0, 17.0, 41.0, 81.0, 5120.0, 5.0, 16.0, 2.0, 73.0)
 
     def body() -> int:
         sim = Simulator()

@@ -275,15 +275,18 @@ def _main(argv) -> int:
     if args.list:
         for name in REGISTRY:
             print(name)
+        export_obsv()
         return 0
 
     targets = list(REGISTRY) if args.all else args.figures
     if not targets:
         parser.print_help()
+        export_obsv()
         return 2
     unknown = [t for t in targets if t not in REGISTRY]
     if unknown:
         print(f"unknown figures: {unknown}; use --list", file=sys.stderr)
+        export_obsv()
         return 2
 
     if args.platform is not None:
@@ -291,6 +294,7 @@ def _main(argv) -> int:
             get_platform(args.platform)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
+            export_obsv()
             return 2
 
     def kwargs_for(name: str) -> dict:
@@ -330,6 +334,7 @@ def _main(argv) -> int:
                 )
         except SweepConfigError as exc:
             print(exc, file=sys.stderr)
+            export_obsv()
             return 2
         for (name, platform_name), result in results.items():
             print(result.render())

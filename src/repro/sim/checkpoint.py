@@ -2,7 +2,7 @@
 
 A checkpoint is a :class:`SimState`: a versioned, digest-protected pickle
 of the entire :class:`~repro.experiments.harness.Server` object graph —
-calendar wheel + far heap (reduced to restartable-process descriptors by
+event heap (reduced to restartable-process descriptors by
 :meth:`Simulator.__getstate__`), RNG sub-streams, cache hierarchy, uncore
 (IIO, PCIe, memory controller), devices, workload loop state, and the
 manager FSM.  Restoring at epoch E and continuing is bit-identical to an

@@ -12,47 +12,36 @@ Two styles of actors are supported:
 The clock is an integer-friendly float.  Determinism is guaranteed by a
 monotonically increasing sequence number used as a heap tie-breaker.
 
-Pending events live in a two-tier bucket queue:
+Pending events live in one binary heap (``heapq``) ordered by
+``(time, seq)``.  Entries are plain ``[time, seq, action]`` lists, so
+ordering is resolved by C-level list comparison on the unique
+``(time, seq)`` prefix — the ``action`` slot is never compared.
+Cancellation nulls the action slot in place and the run loops drop dead
+entries lazily when they reach the root; :class:`Event` is a thin handle
+over the queued entry.
 
-* **Calendar wheel (the fast path).**  Almost every event is a short-delay
-  process resume, so the near future — ``WHEEL_SLOTS`` buckets of
-  ``WHEEL_GRAIN`` cycles each, anchored at ``_base`` — is kept in a bucket
-  array.  Future buckets are unsorted append-only lists; a bucket is sorted
-  once when the run loop reaches it and then consumed through an index
-  pointer, so the steady state replaces heap sifts with ``list.append``,
-  one amortized ``sort`` of a short nearly-sorted run, and plain indexing.
-  Inserts that land in the *current* bucket use ``bisect.insort`` bounded
-  to the unconsumed suffix, which keeps it sorted in place.
-* **Far heap (the fallback).**  Events at or beyond the wheel horizon go to
-  a plain heapq.  Whenever the wheel drains, it is re-anchored at ``now``
-  and near-future entries migrate from the heap into buckets.
-
-The bucket index is a monotone function of time and each bucket is consumed
-in ``(time, seq)`` order, so the pop sequence is bit-identical to a single
-heap ordered by ``(time, seq)`` — ``tests/test_engine_wheel.py`` proves
-the equivalence against a reference heap scheduler on randomized programs.
-
-Entries are plain ``[time, seq, action]`` lists, so ordering is resolved by
-C-level list comparison on the unique ``(time, seq)`` prefix — the
-``action`` slot is never compared.  Cancellation nulls the action slot in
-place; :class:`Event` is a thin handle over the queued entry.  Process
-resumes take a fast path: their entries are ``[time, seq, body, process]``
-(the generator itself in the action slot), the run loops resume the
-generator inline — no per-event trampoline frame — and the popped entry
-list is reused for the re-schedule, so steady-state process execution
-allocates nothing.
+Process resumes take a fast path: their entries are
+``[time, seq, body, process]`` (the generator itself in the action slot),
+and the run loops resume the generator inline while its entry is still
+the heap root — no per-event trampoline frame.  The re-schedule then
+rewrites that root's time and seq in place and sifts it down with one
+``heapreplace``, so steady-state process execution allocates nothing.
+This is exact: anything the body schedules while it runs has
+``time >= now`` and a larger seq, so it sorts after the running entry and
+the root cannot move underneath it.  Callbacks are popped before they run.
+``tests/test_engine_wheel.py`` checks the pop order against a naive
+reference heap on randomized programs.
 
 Reentrancy rule: event actions may schedule, spawn, and cancel freely, but
 must not drive the simulator themselves — ``run_until`` guards against
-nested calls because the hot loop mirrors queue state in locals while a
-bucket is being consumed.
+nested calls (the running process entry is still the heap root), and a
+snapshot taken from inside an action is refused for the same reason.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from time import perf_counter as _perf_counter
 from typing import Callable, Generator, Iterable, Optional
 
@@ -68,20 +57,8 @@ class SnapshotError(RuntimeError):
     process spawned through :meth:`Simulator.spawn` instead of
     :meth:`Simulator.spawn_restartable` — suspended generator frames are
     not serializable, so only processes with a registered factory (and a
-    body written in restartable form) can cross a snapshot."""
-
-WHEEL_SLOTS = 256
-"""Buckets in the calendar wheel."""
-
-WHEEL_GRAIN = 16.0
-"""Cycles per bucket; the wheel spans ``WHEEL_SLOTS * WHEEL_GRAIN`` cycles.
-Sized so the common process delays (tens to a couple hundred cycles, see
-the latency ladder in :class:`repro.platform.PlatformSpec`) land a few
-buckets ahead and only rare long sleeps fall through to the far heap."""
-
-_INV_GRAIN = 1.0 / WHEEL_GRAIN
-_SPAN = WHEEL_SLOTS * WHEEL_GRAIN
-_LAST_SLOT = WHEEL_SLOTS - 1
+    body written in restartable form) can cross a snapshot — and when the
+    snapshot is taken from inside an action ``run_until`` is executing."""
 
 
 class Event:
@@ -118,7 +95,8 @@ class Process:
 
     The wrapped generator yields delays (cycles >= 0).  When it returns or
     raises ``StopIteration`` the process is finished; observers registered
-    through :meth:`on_finish` are then invoked.
+    through :meth:`on_finish` are then invoked.  A body that raises any
+    other exception leaves the queue without finishing.
     """
 
     __slots__ = ("name", "_body", "finished", "_finish_callbacks")
@@ -142,24 +120,6 @@ class Process:
         self.name, self.finished, self._finish_callbacks = state
         self._body = None
 
-    def _step(self, sim: "Simulator") -> None:
-        """Resume the process once (slow path; the engine's run loops resume
-        process entries inline instead of calling this)."""
-        if self.finished:
-            return
-        try:
-            delay = next(self._body)
-        except StopIteration:
-            self.finished = True
-            for callback in self._finish_callbacks:
-                callback(sim)
-            return
-        if delay < 0:
-            raise ValueError(
-                f"process {self.name!r} yielded negative delay {delay!r}"
-            )
-        sim._push([sim.now + delay, next(sim._seq), self._body, self])
-
 
 class Simulator:
     """The event loop.
@@ -176,14 +136,7 @@ class Simulator:
         "_seq",
         "processes",
         "events_executed",
-        "_buckets",
-        "_base",
-        "_limit",
-        "_pos",
-        "_pos_end",
-        "_bptr",
-        "_wheel_len",
-        "_far",
+        "_queue",
         "_running",
         "_factories",
         "profiler",
@@ -205,74 +158,8 @@ class Simulator:
         """``name -> (owner, method, args)`` for restartable processes;
         the snapshot protocol rebuilds their generators from these."""
         self._running = False
-        self._init_wheel(0.0)
-
-    def _init_wheel(self, base: float) -> None:
-        """(Re)build an empty bucket queue anchored at ``base``.
-
-        Invariants: ``_base <= now``; every wheel entry has
-        ``time < _limit`` and lives in bucket
-        ``int((time - _base) * _INV_GRAIN)``; buckets before ``_pos`` are
-        empty; the bucket at ``_pos`` is sorted and consumed up to
-        ``_bptr``; ``_wheel_len`` counts unconsumed wheel entries; every
-        ``_far`` entry had ``time >= _limit`` when filed.  ``_pos_end`` is
-        the end time of the current bucket
-        (``_base + (_pos + 1) * grain``) so the hot re-schedule path can
-        detect a same-bucket insert with one float compare."""
-        self._buckets: list[list] = [[] for _ in range(WHEEL_SLOTS)]
-        self._base: float = base
-        self._limit: float = base + _SPAN
-        self._pos: int = 0
-        self._pos_end: float = base + WHEEL_GRAIN
-        self._bptr: int = 0
-        self._wheel_len: int = 0
-        self._far: list[list] = []
-
-    # -- queue internals ---------------------------------------------------
-
-    def _push(self, entry: list) -> None:
-        """File ``entry`` into its wheel bucket, or the far heap beyond the
-        horizon.  Entries never land before ``_pos``/``_bptr`` because
-        scheduling into the past is rejected and the bucket index is a
-        monotone function of time."""
-        when = entry[_TIME]
-        if when < self._limit:
-            idx = int((when - self._base) * _INV_GRAIN)
-            if idx > _LAST_SLOT:  # float rounding at the horizon edge
-                idx = _LAST_SLOT
-            bucket = self._buckets[idx]
-            if idx == self._pos:
-                insort(bucket, entry, self._bptr)
-            else:
-                bucket.append(entry)
-            self._wheel_len += 1
-        else:
-            heappush(self._far, entry)
-
-    def _rebase(self) -> None:
-        """Re-anchor the empty wheel at ``now`` and drain near-future far
-        entries into buckets.  Caller guarantees ``_wheel_len == 0``."""
-        self._buckets[self._pos].clear()
-        self._pos = 0
-        self._bptr = 0
-        base = self._base = self.now
-        self._pos_end = base + WHEEL_GRAIN
-        limit = self._limit = base + _SPAN
-        far = self._far
-        buckets = self._buckets
-        count = 0
-        while far and far[0][_TIME] < limit:
-            entry = heappop(far)
-            idx = int((entry[_TIME] - base) * _INV_GRAIN)
-            if idx > _LAST_SLOT:
-                idx = _LAST_SLOT
-            buckets[idx].append(entry)
-            count += 1
-        if count:
-            self._wheel_len = count
-            bucket = buckets[0]
-            if len(bucket) > 1:
-                bucket.sort()
+        self._queue: list[list] = []
+        """The event heap of ``[time, seq, action(, process)]`` entries."""
 
     # -- scheduling -------------------------------------------------------
 
@@ -281,7 +168,7 @@ class Simulator:
         if when < self.now:
             raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
         entry = [when, next(self._seq), action]
-        self._push(entry)
+        heappush(self._queue, entry)
         return Event(entry)
 
     def call_in(self, delay: float, action: Callable[["Simulator"], None]) -> Event:
@@ -297,7 +184,7 @@ class Simulator:
         when = self.now if start_at is None else start_at
         if when < self.now:
             raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
-        self._push([when, next(self._seq), body, process])
+        heappush(self._queue, [when, next(self._seq), body, process])
         return process
 
     def spawn_restartable(
@@ -327,134 +214,49 @@ class Simulator:
         body = getattr(owner, method)(*args)
         return self.spawn(name, body, start_at=start_at)
 
-    def every(
-        self,
-        interval: float,
-        action: Callable[["Simulator"], None],
-        start_at: Optional[float] = None,
-    ) -> None:
-        """Run ``action`` periodically, forever (bounded by ``run_until``)."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        first = self.now + interval if start_at is None else start_at
-
-        def tick(sim: "Simulator") -> None:
-            action(sim)
-            sim.schedule(sim.now + interval, tick)
-
-        self.schedule(first, tick)
-
     # -- execution --------------------------------------------------------
-
-    def _resume_process(self, entry: list) -> None:
-        """Resume the process in ``entry`` and re-queue it (entry reused)."""
-        body = entry[_ACTION]
-        try:
-            delay = next(body)
-        except StopIteration:
-            process = entry[3]
-            process.finished = True
-            for callback in process._finish_callbacks:
-                callback(self)
-            return
-        if delay < 0:
-            raise ValueError(
-                f"process {entry[3].name!r} yielded negative delay {delay!r}"
-            )
-        entry[_TIME] = self.now + delay
-        entry[_SEQ] = next(self._seq)
-        self._push(entry)
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle.
 
-        ``_wheel_len`` accounting is deferred: on the hot path — a process
-        resume whose re-schedule lands back in the wheel — the pop and push
-        cancel, so the counter is only touched on the rare exits
-        (cancelled entry, finished process, far-heap push, callback).
-        """
-        buckets = self._buckets
-        while True:
-            # Inlined bucket pop (the same walk run_until batches).
-            if self._wheel_len:
-                pos = self._pos
-                bucket = buckets[pos]
-                bptr = self._bptr
-                if bptr >= len(bucket):
-                    bucket.clear()
-                    pos += 1
-                    bucket = buckets[pos]
-                    while not bucket:
-                        pos += 1
-                        bucket = buckets[pos]
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self._pos = pos
-                    self._pos_end = self._base + (pos + 1) * WHEEL_GRAIN
-                    bptr = 0
-                entry = bucket[bptr]
-                self._bptr = bptr + 1
-                action = entry[_ACTION]
-                if action is None:
-                    self._wheel_len -= 1
-                    continue
-                self.now = entry[_TIME]
-                self.events_executed += 1
-                if len(entry) == 4:
-                    # Inlined process resume + re-schedule.
-                    try:
-                        delay = next(action)
-                    except StopIteration:
-                        self._wheel_len -= 1
-                        process = entry[3]
-                        process.finished = True
-                        for callback in process._finish_callbacks:
-                            callback(self)
-                        return True
-                    if delay < 0:
-                        raise ValueError(
-                            f"process {entry[3].name!r} yielded negative "
-                            f"delay {delay!r}"
-                        )
-                    when = self.now + delay
-                    entry[_TIME] = when
-                    entry[_SEQ] = next(self._seq)
-                    if when < self._pos_end:
-                        # Same-bucket re-schedule: one compare, no index math.
-                        insort(bucket, entry, bptr)
-                        # pop + wheel push cancel out: _wheel_len unchanged
-                    elif when < self._limit:
-                        idx = int((when - self._base) * _INV_GRAIN)
-                        if idx > _LAST_SLOT:
-                            idx = _LAST_SLOT
-                        if idx == pos:  # boundary rounding can disagree
-                            insort(bucket, entry, bptr)
-                        else:
-                            buckets[idx].append(entry)
-                    else:
-                        self._wheel_len -= 1
-                        heappush(self._far, entry)
-                else:
-                    self._wheel_len -= 1
-                    action(self)
-                return True
-            # Wheel empty: fall back to the far heap.
-            if not self._far:
-                return False
-            self._rebase()
-            if self._wheel_len:
-                continue
-            entry = heappop(self._far)  # isolated event beyond the span
+        The same peek/resume/``heapreplace`` sequence as ``run_until``,
+        inlined for one event."""
+        queue = self._queue
+        while queue:
+            entry = queue[0]
             action = entry[_ACTION]
             if action is None:
+                heappop(queue)
                 continue
             self.now = entry[_TIME]
             self.events_executed += 1
             if len(entry) == 4:
-                self._resume_process(entry)
+                try:
+                    delay = next(action)
+                except StopIteration:
+                    heappop(queue)
+                    process = entry[3]
+                    process.finished = True
+                    for callback in process._finish_callbacks:
+                        callback(self)
+                    return True
+                except BaseException:
+                    heappop(queue)
+                    raise
+                if delay < 0:
+                    heappop(queue)
+                    raise ValueError(
+                        f"process {entry[3].name!r} yielded negative "
+                        f"delay {delay!r}"
+                    )
+                entry[_TIME] = self.now + delay
+                entry[_SEQ] = next(self._seq)
+                heapreplace(queue, entry)
             else:
+                heappop(queue)
                 action(self)
             return True
+        return False
 
     def run_until(self, end_time: float) -> None:
         """Run events with time <= ``end_time`` and advance the clock there.
@@ -482,131 +284,55 @@ class Simulator:
     def _run_until(self, end_time: float) -> None:
         """The ``run_until`` hot loop (no profiling).
 
-        The loop consumes the wheel bucket by bucket with the cursor state
-        mirrored in locals; ``_bptr`` is committed before every action so
-        nested ``schedule``/``spawn``/``cancel`` calls observe a consistent
-        queue, and pop counts are flushed to ``_wheel_len`` at every bucket
-        boundary.  Actions must not re-enter the run loop itself.
+        Peek the root; drop it if cancelled; pop a callback before running
+        it; resume a process in place and sift its rewritten entry down
+        with ``heapreplace``.  A process body that raises is popped first,
+        so it leaves the queue.  Actions must not re-enter the run loop.
         """
         if self._running:
             raise RuntimeError("run_until is not reentrant; actions must "
                                "not drive the simulator")
         self._running = True
-        buckets = self._buckets
-        far = self._far
+        queue = self._queue
         seq = self._seq
         executed = 0
         try:
-            while True:
-                # -- position at the next non-empty bucket ----------------
-                if self._wheel_len:
-                    pos = self._pos
-                    bucket = buckets[pos]
-                    i = self._bptr
-                    if i >= len(bucket):
-                        bucket.clear()
-                        pos += 1
-                        bucket = buckets[pos]
-                        while not bucket:
-                            pos += 1
-                            bucket = buckets[pos]
-                        if len(bucket) > 1:
-                            bucket.sort()
-                        self._pos = pos
-                        self._pos_end = self._base + (pos + 1) * WHEEL_GRAIN
-                        self._bptr = i = 0
-                else:
-                    if not far or far[0][_TIME] > end_time:
-                        break
-                    self._rebase()
-                    if not self._wheel_len:
-                        # Isolated far-future event inside the run window
-                        # but beyond the wheel span: execute it directly.
-                        entry = heappop(far)
-                        action = entry[_ACTION]
-                        if action is None:
-                            continue
-                        self.now = entry[_TIME]
-                        executed += 1
-                        if len(entry) == 4:
-                            self._resume_process(entry)
-                        else:
-                            action(self)
+            while queue:
+                entry = queue[0]
+                when = entry[_TIME]
+                if when > end_time:
+                    break
+                action = entry[_ACTION]
+                if action is None:
+                    heappop(queue)
                     continue
-                # -- consume the current bucket ---------------------------
-                base = self._base
-                limit = self._limit
-                pos_end = self._pos_end
-                popped = 0
-                blen = len(bucket)
-                # ``blen`` mirrors ``len(bucket)``: bumped on our own
-                # same-bucket insorts, re-read after callbacks (which may
-                # schedule into this bucket through ``_push``).
-                while i < blen:
-                    entry = bucket[i]
-                    when = entry[_TIME]
-                    if when > end_time:
-                        self._bptr = i
-                        self._wheel_len -= popped
-                        self.events_executed += executed
-                        executed = 0
-                        if self.now < end_time:
-                            self.now = end_time
-                        return
-                    i += 1
-                    self._bptr = i
-                    popped += 1
-                    action = entry[_ACTION]
-                    if action is None:
+                self.now = when
+                executed += 1
+                if len(entry) == 4:
+                    try:
+                        delay = next(action)
+                    except StopIteration:
+                        heappop(queue)
+                        process = entry[3]
+                        process.finished = True
+                        for callback in process._finish_callbacks:
+                            callback(self)
                         continue
-                    self.now = when
-                    executed += 1
-                    if len(entry) == 4:
-                        # Inlined process resume; the popped entry is
-                        # reused for the re-schedule.
-                        try:
-                            delay = next(action)
-                        except StopIteration:
-                            process = entry[3]
-                            process.finished = True
-                            for callback in process._finish_callbacks:
-                                callback(self)
-                            continue
-                        if delay < 0:
-                            raise ValueError(
-                                f"process {entry[3].name!r} yielded "
-                                f"negative delay {delay!r}"
-                            )
-                        when += delay
-                        entry[_TIME] = when
-                        entry[_SEQ] = next(seq)
-                        # Inlined _push (base/limit/pos_end only move on
-                        # _rebase or bucket advance, which cannot run while
-                        # this bucket has entries).
-                        if when < pos_end:
-                            # Same-bucket re-schedule: one compare.
-                            insort(bucket, entry, i)
-                            blen += 1
-                            popped -= 1  # pop + wheel push cancel out
-                        elif when < limit:
-                            idx = int((when - base) * _INV_GRAIN)
-                            if idx > _LAST_SLOT:
-                                idx = _LAST_SLOT
-                            if idx == pos:  # boundary rounding disagreement
-                                insort(bucket, entry, i)
-                                blen += 1
-                            else:
-                                buckets[idx].append(entry)
-                            popped -= 1
-                        else:
-                            heappush(far, entry)
-                    else:
-                        action(self)
-                        # The callback may have pushed into this bucket
-                        # (tracked by _wheel_len directly) or anywhere
-                        # else; only our own pops stay in ``popped``.
-                        blen = len(bucket)
-                self._wheel_len -= popped
+                    except BaseException:
+                        heappop(queue)
+                        raise
+                    if delay < 0:
+                        heappop(queue)
+                        raise ValueError(
+                            f"process {entry[3].name!r} yielded "
+                            f"negative delay {delay!r}"
+                        )
+                    entry[_TIME] = when + delay
+                    entry[_SEQ] = next(seq)
+                    heapreplace(queue, entry)
+                else:
+                    heappop(queue)
+                    action(self)
         finally:
             self._running = False
             self.events_executed += executed
@@ -621,27 +347,18 @@ class Simulator:
         raise RuntimeError("simulation exceeded max_events; likely a livelock")
 
     def _live_entries(self) -> list:
-        """Every live (non-cancelled) queued entry — the consumed prefix of
-        the current bucket, all future buckets, *and* the far heap beyond
-        the wheel horizon — sorted into firing order ``(time, seq)``."""
-        entries = [
-            e
-            for e in self._buckets[self._pos][self._bptr:]
-            if e[_ACTION] is not None
-        ]
-        for bucket in self._buckets[self._pos + 1:]:
-            entries.extend(e for e in bucket if e[_ACTION] is not None)
-        entries.extend(e for e in self._far if e[_ACTION] is not None)
+        """Every live (non-cancelled) queued entry, sorted into firing
+        order ``(time, seq)``."""
+        entries = [e for e in self._queue if e[_ACTION] is not None]
         entries.sort(key=lambda e: (e[_TIME], e[_SEQ]))
         return entries
 
     def pending(self) -> Iterable[Event]:
         """Live events still queued, in firing order (for inspection).
 
-        Covers the whole two-tier queue: wheel buckets *and* far-heap
-        entries past the wheel horizon, so long-sleep events (idle phases,
-        far-future timers) are visible — the snapshot protocol relies on
-        this completeness."""
+        Covers the whole queue, including long-sleep events (idle phases,
+        far-future timers) — the snapshot protocol relies on this
+        completeness."""
         return (Event(e) for e in self._live_entries())
 
     # -- checkpoint/restore and time travel --------------------------------
@@ -649,32 +366,39 @@ class Simulator:
     def fast_forward(self, cycles: float) -> None:
         """Advance the clock by ``cycles`` without executing anything.
 
-        Every pending entry is shifted by the same delta and re-filed into
-        a wheel re-anchored at the new ``now``; relative order is preserved
-        exactly (a uniform shift is monotone in ``(time, seq)``).  This is
-        the interval-sampling skip primitive — callers are responsible for
-        shifting any *actor-held* absolute timestamps alongside (see
-        ``Server.time_shift``)."""
+        Every pending entry is shifted by the same delta and the heap is
+        rebuilt: a uniform shift is monotone in ``(time, seq)``, but float
+        rounding can make two shifted times tie, and the tie then falls to
+        seq.  This is the interval-sampling skip primitive — callers are
+        responsible for shifting any *actor-held* absolute timestamps
+        alongside (see ``Server.time_shift``)."""
         if self._running:
             raise RuntimeError("cannot fast_forward while running")
         if cycles < 0:
             raise ValueError("cannot fast_forward into the past")
-        entries = self._live_entries()
-        self.now += cycles
-        self._init_wheel(self.now)
-        for entry in entries:
+        queue = [e for e in self._queue if e[_ACTION] is not None]
+        for entry in queue:
             entry[_TIME] += cycles
-            self._push(entry)
+        heapify(queue)
+        self._queue = queue
+        self.now += cycles
 
     def __getstate__(self):
         """Snapshot: queue state with pending entries reduced to
         ``(time, seq, process name)`` descriptors.
 
-        Non-restartable pending work (raw callbacks, ``every`` timers,
-        plain ``spawn`` processes) raises :class:`SnapshotError` — their
-        suspended frames cannot be rebuilt.  Building the state perturbs
-        nothing, so a checkpointing run stays bit-identical to one that
-        never snapshots."""
+        Non-restartable pending work (raw callbacks, plain ``spawn``
+        processes) raises :class:`SnapshotError` — their suspended frames
+        cannot be rebuilt — and so does a snapshot taken from inside an
+        action while ``run_until`` executes it (the running entry is not
+        in a restorable state).  Building the state perturbs nothing, so a
+        checkpointing run stays bit-identical to one that never
+        snapshots."""
+        if self._running:
+            raise SnapshotError(
+                "cannot snapshot the simulator from inside an action; "
+                "checkpoint between run_until calls"
+            )
         pending = []
         for entry in self._live_entries():
             if len(entry) != 4:
@@ -708,8 +432,8 @@ class Simulator:
         self._factories = state["factories"]
         self.profiler = None
         self._running = False
-        self._init_wheel(self.now)
         by_name = {p.name: p for p in self.processes}
+        queue = []
         for when, seq, name in state["pending"]:
             owner, method, args = self._factories[name]
             # Creating a generator runs none of its body, so this is safe
@@ -718,4 +442,6 @@ class Simulator:
             body = getattr(owner, method)(*args)
             process = by_name[name]
             process._body = body
-            self._push([when, seq, body, process])
+            queue.append([when, seq, body, process])
+        heapify(queue)
+        self._queue = queue

@@ -8,9 +8,9 @@ platform preset and fault injection, because each snapshots different
 state at construction time, and a snapshot taken while DPDK and FIO
 bodies sit in the middle of their per-line arms.
 
-Also here: the far-heap ``pending()`` regression (satellite 1 — events
-beyond the calendar-wheel horizon must be visible to inspection and to
-the snapshot protocol), the :class:`CheckpointStore` durability contract
+Also here: the far-future ``pending()`` regression (long-sleep events
+must be visible to inspection and to the snapshot protocol), the refusal
+of a snapshot taken from inside an action, the :class:`CheckpointStore` durability contract
 (corrupt/skewed blobs are evicted, never restored), and the
 ``run_setup`` resume path.
 """
@@ -41,7 +41,7 @@ from repro.sim.checkpoint import (
     SimState,
     checkpoint_key,
 )
-from repro.sim.engine import WHEEL_GRAIN, WHEEL_SLOTS, Simulator
+from repro.sim.engine import SnapshotError, Simulator
 from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
 from repro.workloads.redis import redis_pair
 from repro.workloads.sysdaemons import ksm
@@ -243,15 +243,16 @@ def test_snapshot_rejects_unpicklable_graph():
         checkpoint.snapshot(origin)
 
 
-# -- the far-heap pending() regression (satellite 1) ------------------------
+# -- far-future pending() and the in-action snapshot guard -----------------
 
 
 def test_pending_surfaces_far_heap_events():
-    """Events scheduled past the wheel horizon live in the far heap;
-    ``pending()`` must surface them (the snapshot protocol and idle
-    detection both rely on the full queue being visible)."""
+    """Events scheduled far in the future (4096 cycles was the horizon of
+    the engine's former calendar wheel) must show in ``pending()``: the
+    snapshot protocol and idle detection both rely on the full queue being
+    visible."""
     sim = Simulator()
-    span = WHEEL_SLOTS * WHEEL_GRAIN
+    span = 4096.0
     near = sim.schedule(10.0, lambda s: None)
     far = sim.schedule(span * 4, lambda s: None)
     assert [e.time for e in sim.pending()] == [10.0, span * 4]
@@ -265,12 +266,52 @@ def test_pending_surfaces_far_heap_events():
 def test_fast_forward_carries_far_heap_events():
     fired = []
     sim = Simulator()
-    span = WHEEL_SLOTS * WHEEL_GRAIN
+    span = 4096.0
     sim.schedule(span * 4, lambda s: fired.append(s.now))
     sim.fast_forward(span * 3)
     assert [e.time for e in sim.pending()] == [span * 7]
     sim.run_until(span * 8)
     assert fired == [span * 7]
+
+
+class _SnapshottingPair:
+    """Owner of two restartable 10-cycle processes; process ``a`` pickles
+    the simulator from inside its own body at t=50."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.outcome = None
+
+    def tick(self, name):
+        while True:
+            if name == "a" and self.sim.now == 50.0:
+                try:
+                    self.outcome = pickle.dumps(self.sim)
+                except SnapshotError as exc:
+                    self.outcome = exc
+            yield 10.0
+
+
+def test_snapshot_from_inside_an_action_is_refused():
+    """The running process is mid-step while its body executes, so a
+    snapshot then would drop it or replay it; it must raise instead."""
+    sim = Simulator()
+    pair = _SnapshottingPair(sim)
+    sim.spawn_restartable("a", pair, "tick", "a")
+    sim.spawn_restartable("b", pair, "tick", "b")
+    sim.run_until(60.0)
+    assert isinstance(pair.outcome, SnapshotError)
+
+    # Between run_until calls the snapshot holds both processes.
+    pair.outcome = None
+    restored = pickle.loads(pickle.dumps(sim))
+    assert [(t, name) for t, _, name in restored.__getstate__()["pending"]] == [
+        (70.0, "a"),
+        (70.0, "b"),
+    ]
+    restored.run_until(100.0)
+    assert restored.now == 100.0
+    assert restored.events_executed == sim.events_executed + 8
 
 
 # -- CheckpointStore --------------------------------------------------------

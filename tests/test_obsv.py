@@ -480,6 +480,23 @@ class TestFaultedRuns:
         assert doc["profile"]
         assert not os.path.exists(summary + ".json")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--list"], 0), ([], 2), (["nosuchfig"], 2)],
+        ids=["list", "no-targets", "unknown-figure"],
+    )
+    def test_figure_cli_writes_metrics_on_early_returns(
+        self, tmp_path, capsys, argv, code
+    ):
+        from repro.experiments.__main__ import main
+
+        summary = str(tmp_path / "metrics.json")
+        assert main([*argv, "--no-cache", "--metrics-out", summary]) == code
+        with open(summary) as handle:
+            doc = json.load(handle)
+        assert set(doc) == {"runcache", "trace", "profile"}
+        assert "done in" not in capsys.readouterr().out
+
     def test_figure_cli_checks_output_dirs_before_running(
         self, tmp_path, capsys
     ):

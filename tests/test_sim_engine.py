@@ -101,20 +101,6 @@ def test_call_in_is_relative():
     assert seen == [10.0]
 
 
-def test_every_repeats_until_horizon():
-    sim = Simulator()
-    count = []
-    sim.every(10.0, lambda s: count.append(s.now))
-    sim.run_until(35.0)
-    assert count == [10.0, 20.0, 30.0]
-
-
-def test_every_rejects_nonpositive_interval():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.every(0.0, lambda s: None)
-
-
 def test_run_guard_detects_livelock():
     sim = Simulator()
 
