@@ -159,10 +159,10 @@ def _main(argv) -> int:
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="checkpoint/restore directory: run_setup-based figures "
-        "snapshot periodically and resume interrupted runs from the "
-        "newest checkpoint (exported as $REPRO_CHECKPOINT_DIR so pool "
-        "workers inherit it)",
+        help="checkpoint/restore directory: fig11 and the run_setup-based "
+        "figures (fig3a-fig8b) snapshot exact runs every quarter-run and "
+        "resume interrupted runs from the newest checkpoint (exported as "
+        "$REPRO_CHECKPOINT_DIR so pool workers inherit it)",
     )
     parser.add_argument(
         "--fault-intensity",
@@ -257,7 +257,7 @@ def _main(argv) -> int:
         if args.metrics_out:
             import json
 
-            from repro.obsv.metrics import counts_of
+            from repro.obsv.counts import counts_of
 
             summary = {
                 "runcache": {

@@ -9,6 +9,7 @@ that.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro import obsv
@@ -27,6 +28,10 @@ it so process-pool workers inherit the setting); an explicit
 ``checkpoint_dir`` argument always wins."""
 
 
+def _checkpoint_key(run_key: str, epoch: int) -> str:
+    return runcache.fingerprint(("checkpoint", run_key, epoch))
+
+
 def resumable_run(
     build: Callable[[], Server],
     run_key: str,
@@ -34,59 +39,87 @@ def resumable_run(
     warmup: int,
     sampling=None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
 ) -> Tuple[Server, RunResult]:
     """Run ``build()``'s server to ``epochs``, checkpointing and resuming
     under ``run_key`` when a checkpoint directory is configured.
 
     This is the restore-and-stitch core shared by :func:`run_setup` and
     the per-cell figure runners (``fig11``): with ``checkpoint_dir`` (or
-    ``$REPRO_CHECKPOINT_DIR``) set, the run snapshots every
-    ``checkpoint_every`` epochs (default: quarter-run cadence), and a
-    rerun with the same ``run_key`` restores the newest snapshot below
-    ``epochs``, simulates only the remaining epochs, and stitches the
-    restored PCM history back onto the fresh segment — the returned
+    ``$REPRO_CHECKPOINT_DIR``) set, the run snapshots every quarter-run
+    into a :class:`~repro.experiments.runcache.RunCache` rooted there, and
+    a rerun with the same ``run_key`` restores the newest intact snapshot
+    below ``epochs``, simulates only the remaining epochs, and stitches
+    the restored PCM history back onto the fresh segment — the returned
     :class:`RunResult` is bit-identical to an uninterrupted run.  With no
     directory configured nothing changes: ``build()`` then one plain
     ``server.run``, zero extra work.
+
+    Sampled runs never checkpoint: the sampler's clusters live outside
+    the server, so a resumed segment would not be the uninterrupted run.
 
     Returns ``(server, result)`` — callers need the server for
     ``epoch_cycles`` / aggregates.
     """
     if checkpoint_dir is None:
         checkpoint_dir = os.environ.get(ENV_CHECKPOINT_DIR) or None
-    store = None
-    if checkpoint_dir is not None:
-        from repro.sim.checkpoint import CheckpointStore
+    if checkpoint_dir is None or sampling is not None:
+        server = build()
+        result = server.run(epochs=epochs, warmup=warmup, sampling=sampling)
+        return server, result
 
-        store = CheckpointStore(checkpoint_dir)
-        if checkpoint_every is None:
-            checkpoint_every = max(1, epochs // 4)
+    from repro.sim import checkpoint as ckpt
+
+    store = runcache.RunCache(root=Path(checkpoint_dir))
+    every = max(1, epochs // 4)
     server = None
     done = 0
-    if store is not None:
-        from repro.sim import checkpoint as ckpt
-
-        state = store.latest(run_key, max_epoch=epochs - 1)
-        if state is not None and 0 < state.epoch < epochs:
+    # Probe the cadence's epochs newest first; a missing entry is skipped
+    # and a digest-corrupt one is deleted, so the walk lands on the newest
+    # intact snapshot.
+    for epoch in range((epochs - 1) // every * every, 0, -every):
+        key = _checkpoint_key(run_key, epoch)
+        state = store.get(key)
+        if state is runcache.MISS:
+            continue
+        try:
             server = ckpt.restore(state)
-            done = state.epoch
-            tracer = obsv.TRACER
-            if tracer is not None:
-                tracer.emit(
-                    obsv.KIND_CHECKPOINT,
-                    "restore",
-                    {"run_key": run_key[:16], "epoch": done, "of": epochs},
-                )
+        except ckpt.CheckpointError:
+            store.discard(key)
+            continue
+        done = epoch
+        tracer = obsv.TRACER
+        if tracer is not None:
+            tracer.emit(
+                obsv.KIND_CHECKPOINT,
+                "restore",
+                {"run_key": run_key[:16], "epoch": done, "of": epochs},
+            )
+        break
     if server is None:
         server = build()
+
+    def save(server: Server, sample) -> None:
+        """Epoch hook: snapshot every ``every`` completed epochs."""
+        if server.epochs_completed % every:
+            return
+        state = ckpt.snapshot(server)
+        key = _checkpoint_key(run_key, state.epoch)
+        store.put(key, state)
+        tracer = obsv.TRACER
+        if tracer is not None:
+            tracer.now = server.sim.now
+            tracer.emit(
+                obsv.KIND_CHECKPOINT,
+                "snapshot",
+                {
+                    "epoch": state.epoch,
+                    "key": key[:16],
+                    "bytes": len(state.payload),
+                },
+            )
+
     result = server.run(
-        epochs=epochs - done,
-        warmup=max(0, warmup - done),
-        sampling=sampling,
-        checkpoint_store=store,
-        checkpoint_every=checkpoint_every or 0,
-        run_key=run_key,
+        epochs=epochs - done, warmup=max(0, warmup - done), epoch_hook=save
     )
     if done:
         # Stitch the pre-checkpoint epochs (restored inside the server's
@@ -96,7 +129,6 @@ def resumable_run(
             samples=server.pcm.history[-epochs:],
             warmup=warmup,
             server=server,
-            sampling=result.sampling,
         )
     return server, result
 
@@ -112,7 +144,6 @@ def run_setup(
     platform: Optional[PlatformSpec] = None,
     sampling=None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
 ) -> RunResult:
     """Run a manager-less setup with explicit CAT masks.
 
@@ -125,13 +156,12 @@ def run_setup(
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) switches
     the run to representative-interval mode; the plan — including its
     error budget — is folded into the cache key, so sampled and exact
-    results never alias.  ``checkpoint_dir`` attaches a
-    :class:`~repro.sim.checkpoint.CheckpointStore`: the run snapshots
-    every ``checkpoint_every`` epochs (default: quarter-run cadence)
-    under this setup's cache key, and an interrupted run restarted with
-    the same configuration resumes from the newest checkpoint instead of
-    simulating from cycle zero.  Checkpoint parameters do *not* enter the
-    cache key — they change how a result is computed, never what it is.
+    results never alias.  ``checkpoint_dir`` makes an exact run snapshot
+    every quarter-run under this setup's cache key (see
+    :func:`resumable_run`), and an interrupted run restarted with the same
+    configuration resumes from the newest checkpoint instead of
+    simulating from cycle zero.  The directory does *not* enter the cache
+    key — it changes how a result is computed, never what it is.
 
     Completed runs are memoized in the content-addressed run cache keyed
     on the full canonical configuration; a warm hit rebuilds the
@@ -189,7 +219,6 @@ def run_setup(
         warmup,
         sampling=sampling,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
     )
     cache.put(
         key,

@@ -42,7 +42,6 @@ def run(
     platform: Optional[PlatformSpec] = None,
     sampling=None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
 ) -> FigureResult:
     """Each (scheme, packet size) cell runs through
     :func:`~repro.experiments.figures.base.resumable_run` under its own
@@ -86,7 +85,6 @@ def run(
                 warmup,
                 sampling=sampling,
                 checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
             )
             row = {"scheme": scheme, "pkt": f"{packet_bytes}B"}
             for i in (1, 2, 3):

@@ -275,49 +275,21 @@ class Server:
         self.epochs_completed += 1
         return sample
 
-    def _maybe_checkpoint(
-        self, store, every: int, run_key: Optional[str]
-    ) -> None:
-        """Write a checkpoint if a store is attached and the cadence says
-        so; emits one ``checkpoint`` trace event per snapshot taken."""
-        if store is None or every <= 0:
-            return
-        if self.epochs_completed % every != 0:
-            return
-        from repro.sim import checkpoint as ckpt
-
-        state = ckpt.snapshot(self)
-        key = store.save(run_key or "run", state)
-        tracer = obsv.TRACER
-        if tracer is not None:
-            tracer.now = self.sim.now
-            tracer.emit(
-                obsv.KIND_CHECKPOINT,
-                "snapshot",
-                {
-                    "epoch": state.epoch,
-                    "key": key[:16],
-                    "bytes": len(state.payload),
-                },
-            )
-
     def run(
         self,
         epochs: int,
         warmup: Optional[int] = None,
         epoch_hook=None,
         sampling=None,
-        checkpoint_store=None,
-        checkpoint_every: int = 0,
-        run_key: Optional[str] = None,
     ) -> "RunResult":
         """Advance the server ``epochs`` monitoring intervals.
 
         ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) switches
         to the representative-interval executor; exact epoch-by-epoch
         simulation — bit-identical to every previous release — remains the
-        default.  ``checkpoint_store`` + ``checkpoint_every`` snapshot the
-        whole server every N completed epochs under ``run_key``."""
+        default.  ``epoch_hook(server, sample)`` runs after every epoch;
+        checkpointing is one such hook (see
+        :func:`~repro.experiments.figures.base.resumable_run`)."""
         if warmup is None:
             warmup = self.platform.warmup_epochs
         if epochs <= warmup:
@@ -327,14 +299,7 @@ class Server:
         if sampling is not None:
             from repro.sim.sampling import SampledRun
 
-            return SampledRun(self, sampling).run(
-                epochs,
-                warmup,
-                epoch_hook,
-                checkpoint_store=checkpoint_store,
-                checkpoint_every=checkpoint_every,
-                run_key=run_key,
-            )
+            return SampledRun(self, sampling).run(epochs, warmup, epoch_hook)
         samples: List[EpochSample] = []
         ctx = self._begin_run()
         tracer = ctx[1]
@@ -343,7 +308,6 @@ class Server:
             samples.append(sample)
             if epoch_hook is not None:
                 epoch_hook(self, sample)
-            self._maybe_checkpoint(checkpoint_store, checkpoint_every, run_key)
         if tracer is not None:
             tracer.epoch = -1
         return RunResult(samples=samples, warmup=warmup, server=self)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import runcache
-from repro.obsv.metrics import counts_of, diff_counts
+from repro.obsv.counts import counts_of, diff_counts
 
 METRIC_FIELDS = (
     "ipc",

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.obsv.metrics import merge_counts
+from repro.obsv.counts import merge_counts
 
 SCHEMA_VERSION = 5
 """Bumped to 5 when tenancy became first-class: every workload now
@@ -248,6 +248,11 @@ class RunCache:
         self.stats.hits += 1
         return wrapper["value"]
 
+    def discard(self, key: str) -> None:
+        """Delete ``key``'s entry: its value failed the caller's own
+        check (a checkpoint whose payload digest does not match)."""
+        self._evict(self._path(key))
+
     @staticmethod
     def _evict(path: Path) -> None:
         """Best-effort removal of a bad entry (never fails the run)."""
@@ -384,7 +389,7 @@ class CachedFigure:
             fn = getattr(fn, part)
         return fn
 
-    _NON_SEMANTIC_KWARGS = frozenset({"checkpoint_dir", "checkpoint_every"})
+    _NON_SEMANTIC_KWARGS = frozenset({"checkpoint_dir"})
     """Kwargs that change how a result is computed, never what it is —
     excluded from the key so a checkpointed run and a straight-through
     run of the same figure address the same cache entry."""

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.policy import A4Policy
 from repro.faults.inject import check_masks
 from repro.faults.plan import FaultPlan
-from repro.obsv.metrics import counts_of, merge_counts
+from repro.obsv.counts import counts_of, merge_counts
 
 DEFAULT_INTENSITIES: Tuple[float, ...] = (0.25, 0.5, 1.0)
 DEFAULT_EPOCHS = 80

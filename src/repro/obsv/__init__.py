@@ -23,7 +23,7 @@ by a single ``obsv.TRACER is not None`` (or ``obsv.AUDIT``/``profiler``)
 check: with the layer disabled no event objects are built, no dicts are
 allocated, and runs are bit-identical to a tree without the layer.
 Enable with :func:`enable` (or ``--trace`` / ``--metrics-out`` on the
-figures CLI), tear down with :func:`disable`.  :mod:`repro.obsv.metrics`
+figures CLI), tear down with :func:`disable`.  :mod:`repro.obsv.counts`
 holds the stats-dict merge helpers the run cache and chaos sweep share.
 """
 

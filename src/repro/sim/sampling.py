@@ -298,9 +298,6 @@ class SampledRun:
         epochs: int,
         warmup: int,
         epoch_hook=None,
-        checkpoint_store=None,
-        checkpoint_every: int = 0,
-        run_key: Optional[str] = None,
     ):
         from repro import obsv
         from repro.experiments.harness import RunResult
@@ -353,9 +350,6 @@ class SampledRun:
                     skipped += 1
                     if epoch_hook is not None:
                         epoch_hook(server, sample)
-                    server._maybe_checkpoint(
-                        checkpoint_store, checkpoint_every, run_key
-                    )
                     i += 1
                 warm_left = plan.warm_epochs
                 continue
@@ -372,9 +366,6 @@ class SampledRun:
                 clusters.observe(epoch_signature(sample, server), sample)
             if epoch_hook is not None:
                 epoch_hook(server, sample)
-            server._maybe_checkpoint(
-                checkpoint_store, checkpoint_every, run_key
-            )
             i += 1
         if tracer is not None:
             tracer.epoch = -1

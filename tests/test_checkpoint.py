@@ -1,4 +1,4 @@
-"""Checkpoint/restore round-trip tests (ISSUE 7 tentpole, part A).
+"""Checkpoint/restore round-trip tests.
 
 The contract under test: snapshot at epoch N, restore, continue M epochs
 == one uninterrupted N+M run, *bit-identical* — same simulated clock,
@@ -10,9 +10,11 @@ bodies sit in the middle of their per-line arms.
 
 Also here: the far-future ``pending()`` regression (long-sleep events
 must be visible to inspection and to the snapshot protocol), the refusal
-of a snapshot taken from inside an action, the :class:`CheckpointStore` durability contract
-(corrupt/skewed blobs are evicted, never restored), and the
-``run_setup`` resume path.
+of a snapshot taken from inside an action, the durability of checkpoints
+stored as run-cache entries by ``resumable_run`` (corrupt, skewed or
+digest-corrupt entries are evicted and the probe walks back to the newest
+intact one), and the ``run_setup`` resume path, which exact runs take and
+sampled runs do not.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import pytest
 
 from repro import obsv
 from repro.experiments import runcache
-from repro.experiments.figures.base import run_setup
+from repro.experiments.figures.base import resumable_run, run_setup
+from repro.experiments.harness import Server
 from repro.experiments.scenarios import (
     build_server,
     microbenchmark_workloads,
@@ -34,14 +37,9 @@ from repro.faults.plan import FaultPlan
 from repro.obsv import KIND_CHECKPOINT, KIND_EPOCH, KIND_PLATFORM, KIND_SPAN
 from repro.platform import get_platform
 from repro.sim import checkpoint
-from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointError,
-    CheckpointStore,
-    SimState,
-    checkpoint_key,
-)
+from repro.sim.checkpoint import CheckpointError, SimState
 from repro.sim.engine import SnapshotError, Simulator
+from repro.sim.sampling import SamplingPlan
 from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
 from repro.workloads.redis import redis_pair
 from repro.workloads.sysdaemons import ksm
@@ -229,10 +227,8 @@ def test_simstate_validate_catches_corruption():
     flipped = dataclasses.replace(state, payload=state.payload + b"\0")
     with pytest.raises(CheckpointError):
         flipped.validate()
-
-    skewed = dataclasses.replace(state, schema=CHECKPOINT_SCHEMA + 1)
     with pytest.raises(CheckpointError):
-        skewed.validate()
+        checkpoint.restore(flipped)
 
 
 def test_snapshot_rejects_unpicklable_graph():
@@ -314,113 +310,154 @@ def test_snapshot_from_inside_an_action_is_refused():
     assert restored.events_executed == sim.events_executed + 8
 
 
-# -- CheckpointStore --------------------------------------------------------
+# -- checkpoints as run-cache entries ----------------------------------------
 
 
-def _stored_state(epochs=2):
-    origin = _micro_server()
-    origin.run(epochs=epochs, warmup=1)
-    return origin, checkpoint.snapshot(origin)
+def _xmem_server():
+    server = Server(cores=3, seed=9)
+    server.add_workload(xmem("a", 2.0, cores=1, pattern="rand"))
+    return server
+
+
+def _ckpt_key(run_key, epoch):
+    return runcache.fingerprint(("checkpoint", run_key, epoch))
+
+
+def _checkpointed(ckpt_dir, run_key="runA", epochs=8):
+    """One checkpointing ``resumable_run``; quarter-run cadence, so an
+    8-epoch run stores epochs 2, 4, 6 and 8."""
+    return resumable_run(
+        _xmem_server, run_key, epochs, 2, checkpoint_dir=str(ckpt_dir)
+    )
+
+
+def _restored_epoch(ckpt_dir, run_key="runA", epochs=8, monkeypatch=None):
+    """Rerun under tracing; the epoch the run resumed from (0 = none)
+    and its result.  With ``monkeypatch`` the rerun stores nothing, so
+    whatever the probe deleted stays deleted."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(runcache.RunCache, "put", lambda *args: None)
+    obsv.enable()
+    _, result = _checkpointed(ckpt_dir, run_key, epochs)
+    restores = [
+        e.data["epoch"]
+        for e in obsv.TRACER.events
+        if e.kind == KIND_CHECKPOINT and e.name == "restore"
+    ]
+    obsv.disable()
+    assert len(restores) <= 1
+    return (restores[0] if restores else 0), result
+
+
+def _same_result(a, b):
+    assert [s.streams["a"].ipc for s in a.samples] == [
+        s.streams["a"].ipc for s in b.samples
+    ]
 
 
 def test_store_save_load_latest(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
-    origin, state2 = _stored_state(epochs=2)
-    store.save("runA", state2)
-    origin.run(epochs=2, warmup=0)
-    state4 = checkpoint.snapshot(origin)
-    store.save("runA", state4)
+    ckpt_dir = tmp_path / "ckpt"
+    _, first = _checkpointed(ckpt_dir)
+    store = runcache.RunCache(root=ckpt_dir)
+    for epoch in (2, 4, 6, 8):
+        state = store.get(_ckpt_key("runA", epoch))
+        assert isinstance(state, SimState) and state.epoch == epoch
+    for epoch in (1, 3, 5, 7):
+        assert store.get(_ckpt_key("runA", epoch)) is runcache.MISS
+    assert store.get(_ckpt_key("other-run", 2)) is runcache.MISS
+    resumed = checkpoint.restore(store.get(_ckpt_key("runA", 4)))
+    assert resumed.epochs_completed == 4
 
-    assert store.epochs("runA") == [2, 4]
-    loaded = store.load("runA", 2)
-    assert loaded is not None
-    assert (loaded.epoch, loaded.digest) == (2, state2.digest)
-    assert store.load("runA", 99) is None
-
-    assert store.latest("runA").epoch == 4
-    assert store.latest("runA", max_epoch=3).epoch == 2
-    assert store.latest("runA", max_epoch=1) is None
-    assert store.latest("other-run") is None
-
-    resumed = checkpoint.restore(store.latest("runA", max_epoch=3))
-    assert resumed.epochs_completed == 2
+    # The rerun restores the newest snapshot below the horizon.
+    epoch, second = _restored_epoch(ckpt_dir)
+    assert epoch == 6
+    _same_result(first, second)
 
 
-def test_store_evicts_corrupt_blob(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
-    _, state = _stored_state()
-    store.save("runA", state)
-    path = store._blob_path(checkpoint_key("runA", state.epoch))
+def test_store_evicts_corrupt_blob(tmp_path, monkeypatch):
+    ckpt_dir = tmp_path / "ckpt"
+    _checkpointed(ckpt_dir)
+    path = runcache.RunCache(root=ckpt_dir)._path(_ckpt_key("runA", 6))
     path.write_bytes(b"not a pickle")
-    assert store.load("runA", state.epoch) is None
+    assert _restored_epoch(ckpt_dir, monkeypatch=monkeypatch)[0] == 4
     assert not path.exists()  # evicted, not just skipped
 
 
-def test_store_evicts_schema_skewed_blob(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
-    _, state = _stored_state()
-    key = checkpoint_key("runA", state.epoch)
-    store.save("runA", state)
-    path = store._blob_path(key)
-    path.write_bytes(
-        pickle.dumps({"schema": -1, "key": key, "state": state})
-    )
-    assert store.load("runA", state.epoch) is None
+def test_store_evicts_schema_skewed_blob(tmp_path, monkeypatch):
+    ckpt_dir = tmp_path / "ckpt"
+    _checkpointed(ckpt_dir)
+    store = runcache.RunCache(root=ckpt_dir)
+    key = _ckpt_key("runA", 6)
+    path = store._path(key)
+    state = store.get(key)
+    path.write_bytes(pickle.dumps({"schema": -1, "key": key, "value": state}))
+    assert _restored_epoch(ckpt_dir, monkeypatch=monkeypatch)[0] == 4
     assert not path.exists()
 
 
-def test_store_evicts_digest_corrupt_state(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
-    _, state = _stored_state()
-    key = checkpoint_key("runA", state.epoch)
-    store.save("runA", state)
-    bad = dataclasses.replace(state, payload=state.payload + b"\0")
-    path = store._blob_path(key)
-    path.write_bytes(
-        pickle.dumps({"schema": CHECKPOINT_SCHEMA, "key": key, "state": bad})
-    )
-    assert store.load("runA", state.epoch) is None
-    assert not path.exists()
+def test_store_evicts_digest_corrupt_state(tmp_path, monkeypatch):
+    ckpt_dir = tmp_path / "ckpt"
+    _checkpointed(ckpt_dir)
+    store = runcache.RunCache(root=ckpt_dir)
+    key = _ckpt_key("runA", 6)
+    state = store.get(key)
+    store.put(key, dataclasses.replace(state, payload=state.payload + b"\0"))
+    assert _restored_epoch(ckpt_dir, monkeypatch=monkeypatch)[0] == 4
+    assert not store._path(key).exists()
 
 
 def test_latest_walks_past_corrupt_newest(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
-    origin, state2 = _stored_state(epochs=2)
-    store.save("runA", state2)
-    origin.run(epochs=2, warmup=0)
-    state4 = checkpoint.snapshot(origin)
-    store.save("runA", state4)
-    store._blob_path(checkpoint_key("runA", 4)).write_bytes(b"garbage")
-    assert store.latest("runA").epoch == 2
+    ckpt_dir = tmp_path / "ckpt"
+    _, first = _checkpointed(ckpt_dir)
+    store = runcache.RunCache(root=ckpt_dir)
+    for epoch in (6, 4):
+        store._path(_ckpt_key("runA", epoch)).write_bytes(b"garbage")
+    epoch, second = _restored_epoch(ckpt_dir)
+    assert epoch == 2
+    _same_result(first, second)
 
 
-def test_checkpoint_key_separates_runs_epochs_schema():
-    assert checkpoint_key("a", 1) != checkpoint_key("b", 1)
-    assert checkpoint_key("a", 1) != checkpoint_key("a", 2)
-    assert checkpoint_key("a", 1) == checkpoint_key("a", 1)
+def test_checkpoint_key_separates_runs_epochs_schema(tmp_path, monkeypatch):
+    assert _ckpt_key("a", 1) != _ckpt_key("b", 1)
+    assert _ckpt_key("a", 1) != _ckpt_key("a", 2)
+    assert _ckpt_key("a", 1) == _ckpt_key("a", 1)
+    before = _ckpt_key("a", 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(runcache, "SCHEMA_VERSION", runcache.SCHEMA_VERSION + 1)
+        assert _ckpt_key("a", 1) != before
+
+    # A run under another key resumes from none of runA's snapshots.
+    ckpt_dir = tmp_path / "ckpt"
+    _checkpointed(ckpt_dir)
+    assert _restored_epoch(ckpt_dir, run_key="runB")[0] == 0
 
 
-def test_save_and_load_hold_the_run_key_flock(tmp_path):
-    """Blob writes and index reads go through an exclusive sidecar lock,
-    so two workers sharing a run key cannot interleave a save with a
-    validation-eviction."""
-    import fcntl
+def _shared_run_ipcs(ckpt_dir):
+    """Worker body: two checkpointing runs under one shared run key."""
+    out = []
+    for _ in range(2):
+        _, result = _checkpointed(ckpt_dir, run_key="shared")
+        out.append([s.streams["a"].ipc for s in result.samples])
+    return out
 
-    store = CheckpointStore(tmp_path / "ckpt")
-    _, state = _stored_state()
-    store.save("runA", state)
-    lock_path = store._lock_path("runA")
-    assert lock_path.exists()
-    # Hold the lock from "another process" (a separate file description:
-    # flock is per-open-file, so a second handle genuinely contends).
-    with lock_path.open("a") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        with store._lock_path("runA").open("a") as probe:
-            with pytest.raises(BlockingIOError):
-                fcntl.flock(probe.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    # Released: load proceeds normally.
-    assert store.load("runA", state.epoch).digest == state.digest
+
+def test_workers_sharing_a_run_key_need_no_lock(tmp_path):
+    """Snapshots land by atomic rename and are digest-checked on restore,
+    so workers saving, restoring and evicting one run key at once each
+    still finish with the uninterrupted run's samples."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _, plain = resumable_run(_xmem_server, "plain", 8, 2)
+    expected = [s.streams["a"].ipc for s in plain.samples]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(3, mp_context=ctx) as pool:
+        futures = [
+            pool.submit(_shared_run_ipcs, str(tmp_path / "ckpt"))
+            for _ in range(3)
+        ]
+        runs = [run for f in futures for run in f.result(timeout=120)]
+    assert len(runs) == 6 and all(run == expected for run in runs)
 
 
 # -- run_setup resume -------------------------------------------------------
@@ -436,41 +473,39 @@ def test_run_setup_resumes_from_checkpoint(tmp_path):
 
     The 'interruption' is simulated by disabling the run cache after the
     first (checkpointing) call: the rerun misses the cache, finds the
-    epoch-4 checkpoint, and simulates only the final third."""
+    epoch-6 checkpoint, and simulates only the final quarter."""
     ckpt_dir = tmp_path / "ckpt"
     obsv.enable()
     first = run_setup(
         _setup_workloads(),
-        epochs=6,
+        epochs=8,
         warmup=2,
         seed=9,
         checkpoint_dir=str(ckpt_dir),
-        checkpoint_every=2,
     )
     saved = [e for e in obsv.TRACER.events if e.kind == KIND_CHECKPOINT]
-    assert [e.data["epoch"] for e in saved] == [2, 4, 6]
+    assert [e.data["epoch"] for e in saved] == [2, 4, 6, 8]
 
     runcache.configure(enabled=False)
     obsv.disable()
     obsv.enable()
     second = run_setup(
         _setup_workloads(),
-        epochs=6,
+        epochs=8,
         warmup=2,
         seed=9,
         checkpoint_dir=str(ckpt_dir),
-        checkpoint_every=2,
     )
-    # Only the post-checkpoint epochs (4 and 5) were simulated.
+    # Only the post-checkpoint epochs (6 and 7) were simulated.
     resumed_epochs = [
         e.data["index"]
         for e in obsv.TRACER.events
         if e.kind == KIND_EPOCH
     ]
     obsv.disable()
-    assert resumed_epochs == [4, 5]
+    assert resumed_epochs == [6, 7]
 
-    assert len(second.samples) == len(first.samples) == 6
+    assert len(second.samples) == len(first.samples) == 8
     for name in first.stream_names():
         a, b = first.aggregate(name), second.aggregate(name)
         assert (a.ipc, a.llc_hit_rate, a.throughput) == (
@@ -490,7 +525,6 @@ def test_run_setup_ignores_checkpoints_from_other_configs(tmp_path):
         warmup=1,
         seed=9,
         checkpoint_dir=str(ckpt_dir),
-        checkpoint_every=2,
     )
     obsv.enable()
     run_setup(
@@ -499,7 +533,6 @@ def test_run_setup_ignores_checkpoints_from_other_configs(tmp_path):
         warmup=1,
         seed=10,
         checkpoint_dir=str(ckpt_dir),
-        checkpoint_every=2,
     )
     fresh_epochs = [
         e.data["index"]
@@ -508,3 +541,34 @@ def test_run_setup_ignores_checkpoints_from_other_configs(tmp_path):
     ]
     obsv.disable()
     assert fresh_epochs == [0, 1, 2, 3]  # full run, no resume
+
+
+def test_sampled_run_setup_runs_straight_through(tmp_path):
+    """A sampled run neither writes nor restores checkpoints: the
+    sampler's clusters are not part of the server snapshot, so a resumed
+    segment would re-cluster from scratch and drift from the
+    uninterrupted run.  Two calls into one checkpoint directory, run cache
+    off, must agree exactly and each must report the whole horizon."""
+    ckpt_dir = tmp_path / "ckpt"
+    runcache.configure(enabled=False)
+
+    def sampled():
+        return run_setup(
+            [
+                xmem("a", 2.0, cores=1, pattern="rand"),
+                xmem("b", 4.0, cores=1, pattern="seq"),
+            ],
+            epochs=24,
+            warmup=2,
+            seed=9,
+            sampling=SamplingPlan(stability_window=2, max_skip=4),
+            checkpoint_dir=str(ckpt_dir),
+        )
+
+    first = sampled()
+    second = sampled()
+    assert first.sampling.total_epochs == second.sampling.total_epochs == 24
+    for name in ("a", "b"):
+        a, b = first.aggregate(name), second.aggregate(name)
+        assert (a.ipc, a.llc_hit_rate) == (b.ipc, b.llc_hit_rate)
+    assert not any(ckpt_dir.rglob("*.pkl"))

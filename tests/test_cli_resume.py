@@ -62,7 +62,7 @@ def test_sigkill_mid_figure_resumes_to_equal_results(tmp_path):
     )
     try:
         deadline = time.monotonic() + 120
-        while not any(c.rglob("*.ckpt")):
+        while not any(c.rglob("*.pkl")):
             assert victim.poll() is None, "figure finished before a checkpoint"
             assert time.monotonic() < deadline, "no checkpoint appeared"
             time.sleep(0.01)

@@ -14,7 +14,7 @@ import pytest
 from repro import obsv
 from repro.obsv import export
 from repro.obsv.audit import AuditTrail
-from repro.obsv.metrics import counts_of, diff_counts, merge_counts
+from repro.obsv.counts import counts_of, diff_counts, merge_counts
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import TraceEvent, Tracer
 
