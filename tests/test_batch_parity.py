@@ -82,24 +82,28 @@ def llc_state(hierarchy):
 
 
 def mlc_state(hierarchy):
+    """Every MLC set's lines in key order, which is recency order (the
+    first key is the set's LRU line)."""
     return [
-        sorted(
-            (line.addr, line.stream, line.dirty, line.io, line.lru)
-            for line in mlc.resident()
-        )
+        [
+            [(line.addr, line.stream, line.dirty, line.io)
+             for line in bucket.values()]
+            for bucket in mlc._sets
+        ]
         for mlc in hierarchy.mlcs
     ]
 
 
 def sf_state(hierarchy):
-    entries = []
-    for bucket in hierarchy.sf._sets:
-        for entry in bucket.values():
-            entries.append(
-                (entry.addr, tuple(sorted(entry.holders)), entry.inclusive,
-                 entry.lru)
-            )
-    return sorted(entries)
+    """Every directory set's entries from least to most recently tracked
+    (the order its LRU eviction walks)."""
+    return [
+        [
+            (entry.addr, tuple(sorted(entry.holders)), entry.inclusive)
+            for entry in sorted(bucket.values(), key=lambda e: e.lru)
+        ]
+        for bucket in hierarchy.sf._sets
+    ]
 
 
 def memory_state(memory):
@@ -132,11 +136,16 @@ def check_invariants(hierarchy):
 
     Every LLC line sits in the slot its ``way`` names and is indexed under
     its own address; every MLC and snoop-filter record is keyed by its own
-    address; each MLC set iterates in recency order; and no record (or
-    holder set) is reachable from two places — the failure mode of reusing
-    an evicted record that is still referenced.
+    address; no record (or holder set) is reachable from two places — the
+    failure mode of reusing an evicted record that is still referenced;
+    and holders are consistent: each core an LLC line or directory entry
+    lists really holds the line in its MLC, an LLC line's holders are a
+    subset of its directory entry's, a directory entry always has a holder
+    and a parked record has none.
     """
     seen = set()
+    sf = hierarchy.sf
+    mlcs = hierarchy.mlcs
 
     def once(obj, where):
         assert id(obj) not in seen, f"{where}: record reachable twice"
@@ -152,20 +161,30 @@ def check_invariants(hierarchy):
             assert index[line.addr] is slots[line.way]
             once(line, f"llc {line.addr:#x}")
             once(line.holders, f"llc {line.addr:#x} holders")
-    for mlc in hierarchy.mlcs:
+            if line.holders:
+                entry = sf.entry(line.addr)
+                assert entry is not None and set(line.holders) <= set(
+                    entry.holders
+                ), f"llc {line.addr:#x} holders not tracked"
+            for core in line.holders:
+                assert mlcs[core].peek(line.addr) is not None, (
+                    f"llc {line.addr:#x} holder {core} lacks the line"
+                )
+    for mlc in mlcs:
         for bucket in mlc._sets:
             for addr, line in bucket.items():
                 assert addr == line.addr
                 once(line, f"mlc{mlc.core_id} {addr:#x}")
-            # Sets are kept in recency order (the first key is the victim).
-            lrus = [line.lru for line in bucket.values()]
-            assert lrus == sorted(lrus)
-    for bucket in hierarchy.sf._sets:
+    for bucket in sf._sets:
         for addr, entry in bucket.items():
             assert addr == entry.addr
             assert entry.holders, f"sf {addr:#x} has no holders"
             once(entry, f"sf {addr:#x}")
             once(entry.holders, f"sf {addr:#x} holders")
+            for core in entry.holders:
+                assert mlcs[core].peek(addr) is not None, (
+                    f"sf {addr:#x} holder {core} lacks the line"
+                )
     indexed = {
         id(line) for wayset in hierarchy.llc._sets
         for line in wayset.index.values()

@@ -12,8 +12,9 @@ must update the digests and say why.
 Two kinds of run are pinned:
 
 * fixed randomized op streams (the parity suite's generator) driven
-  through small hierarchies of every platform preset and of the
-  behavioural ablations, once as issued ("batched") and once with every
+  through small hierarchies of every platform preset, of the
+  behavioural ablations and of a directory small enough to overflow,
+  once as issued ("batched") and once with every
   burst, quantum and run split into single-line calls ("scalar");
 * the epoch samples of Fig. 11's a4 / 1024 B cell (DPDK-T, FIO and
   X-Mem 1-3 under A4), 3 epochs with 1 warm-up, at two seeds;
@@ -25,7 +26,10 @@ Two kinds of run are pinned:
   DCA off, the write-update ablation, an SRRIP LLC, and a manager-less
   DPDK + FIO server under interval sampling (whose skips shift ring and
   NVMe command timestamps) — 3 epochs with 1 warm-up (the sampled run:
-  8 epochs, half of them skipped), at two seeds.
+  8 epochs, half of them skipped), at two seeds;
+* the epoch samples of a Redis-S/C pair, the one workload whose lines
+  (the request/response mailbox) are held by two cores' MLCs at once,
+  3 epochs with 1 warm-up, at two seeds.
 """
 
 import hashlib
@@ -47,6 +51,7 @@ from repro.telemetry.counters import COUNTER_FIELDS
 from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
 from repro.workloads.dpdk import DpdkWorkload
 from repro.workloads.fio import FioWorkload
+from repro.workloads.redis import redis_pair
 from tests.test_batch_parity import make_ops, run_once
 
 
@@ -75,25 +80,30 @@ OP_STREAM_CASES = {
     ),
     "no-write-update": (SKYLAKE_SP, {}, {"ddio_write_update": False}, 107),
     "prefetch": (SKYLAKE_SP, {}, {"next_line_prefetch": True}, 108),
+    # Three directory ways per set: the extended directory overflows and
+    # back-invalidates MLCs (about 20 times over the stream).
+    "small-directory": (SKYLAKE_SP, {}, {"ext_dir_ways": 3}, 109),
 }
 
 OP_STREAM_GOLDENS = {
     "skylake-sp":
-        "2baabb59ef5095801eb648a9ace2ca59b87ed283f6fb1fa357129dbe70930ae1",
+        "f2b00b73bf341c097150d8b1d2c192a0340813360e29a95608cc21193aa9a83b",
     "icelake-sp":
-        "ca3521a29bce4ad382ab4696962e05effbb16652392a1fdaee8e505fe5f44338",
+        "e5f50bf2805fd3b0f2fc1df751485d4c7f2c7867a1db6a9b183ce56b0cf9a702",
     "cascadelake-sp":
-        "ae9858a69d57eb6240da343b9c34f8984476376b448c1864a7ceef23a1a33f9b",
+        "59469cc42a7c8206bb99f7c00b79fe475227cc404c9e9292d87d423a8d3e7e0d",
     "srrip":
-        "9857fa55fab8afdc0d35329f8f818d16b0f8d282dabe2eda1f8d39cd29c98e58",
+        "7d349a6586f98b312fe8ce0bf53c3a9858adfd7dd423dffe9f4a048f175b6211",
     "no-migration":
-        "133c24ad6689f0aa4f5bb0f764aa670a42c72a5ba3a903bdb16fbe5e5bfc3b76",
+        "bc424a2202c1172430c89253225237e3a3d67446935f4260b25ed50d829a3bcd",
     "self-invalidate":
-        "2c25b4deaa50d0df719745da9f24a412f0018d43d7934b97b9fa3d594115269a",
+        "049ef29d921ab8aa8b6bf88743d0e43208976e6949732628d64cd04b4d9907e3",
     "no-write-update":
-        "2a4d8d38f1b97992752699a1849311974db7a82057317b533b4a411a3967874a",
+        "9bfabcb7513c84e7245416c1649c28505edc2745629e9c764c3d5285e0371ced",
     "prefetch":
-        "15deecc6969d337991855a20cacf5142379c4fac53490e5029e5e1706526a774",
+        "92cfb9725025725f237191a8659de7983a21d4d05e6dd6383b879cb837bf0e7a",
+    "small-directory":
+        "aaa30aba9e9867c50131a9160f1a24d2cd202f2bae706bf548ea4fe323423639",
 }
 
 
@@ -252,3 +262,17 @@ def test_io_variant_golden(variant, seed):
     if variant == "sampled":
         assert result.sampling.skipped_epochs > 0  # the skips shift time
     assert sample_digest(result.samples) == IO_VARIANT_GOLDENS[(variant, seed)]
+
+
+SHARED_LINE_GOLDENS = {
+    0xA4: "71a3cce05f746bcf8338721b4f29db14dcdbbd7028c767a725e703b927a3e985",
+    0x5EED: "f94b78567d757fe270cb65010ab38b5c0954cdd9839c9bec27e55c3b3385a837",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SHARED_LINE_GOLDENS), ids=hex)
+def test_shared_line_golden(seed):
+    server = Server(cores=2, seed=seed)
+    server.add_workloads(list(redis_pair()))
+    result = server.run(epochs=3, warmup=1)
+    assert sample_digest(result.samples) == SHARED_LINE_GOLDENS[seed]

@@ -69,8 +69,12 @@ def test_hierarchy_structural_invariants(ops):
             # (4) holders really hold the line
             for core in line.holders:
                 assert hierarchy.mlcs[core].peek(line.addr) is not None
+            # (5) ... and the directory tracks every one of them
+            entry = hierarchy.sf.entry(line.addr)
+            assert entry is not None
+            assert set(line.holders) <= set(entry.holders)
 
-    # (5) snoop-filter entries match MLC contents
+    # (6) snoop-filter entries match MLC contents
     for core, mlc in enumerate(hierarchy.mlcs):
         for mlc_line in mlc.resident():
             entry = hierarchy.sf.entry(mlc_line.addr)
