@@ -11,45 +11,46 @@ This module models the extended group: a per-set, 12-entry tracker of
 MLC-resident lines.  Entries that correspond to inclusive lines are pinned
 (their lifetime is governed by the coupled data way instead); when the
 non-pinned portion overflows, the LRU entry is evicted and the caller must
-back-invalidate the MLCs holding it.
+back-invalidate the MLCs holding it.  Each set is a dict kept in recency
+order, which is its whole LRU state: a new entry is appended and an entry
+that gains a holder moves to the end, so the LRU non-pinned entry is the
+first non-pinned one in key order.
+
+An entry's ``holders`` is a core bitmask (bit ``c`` set while core ``c``'s
+MLC holds the line, see :mod:`repro.cache.line`); an entry whose last
+holder leaves is removed, so a tracked entry never holds 0.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Set
+from typing import Optional
 
+from repro.cache.line import holder_cores
 from repro.platform import DEFAULT_PLATFORM
 
 
 class DirectoryEntry:
     """One extended-directory record (a plain __slots__ hot-path object)."""
 
-    __slots__ = ("addr", "holders", "inclusive", "lru")
+    __slots__ = ("addr", "holders", "inclusive")
 
-    def __init__(
-        self,
-        addr: int,
-        holders: Optional[Set[int]] = None,
-        inclusive: bool = False,
-        lru: int = 0,
-    ):
+    def __init__(self, addr: int, holders: int = 0, inclusive: bool = False):
         self.addr = addr
-        self.holders: Set[int] = set() if holders is None else holders
+        self.holders = holders
         self.inclusive = inclusive
-        self.lru = lru
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DirectoryEntry(addr={self.addr:#x}, holders={self.holders}, "
-            f"inclusive={self.inclusive}, lru={self.lru})"
+            f"DirectoryEntry(addr={self.addr:#x}, "
+            f"holders={holder_cores(self.holders)}, "
+            f"inclusive={self.inclusive})"
         )
 
 
 class SnoopFilter:
     """Extended-directory model, one bucket per LLC set."""
 
-    __slots__ = ("sets", "ways", "_sets", "_tick", "back_invalidations")
+    __slots__ = ("sets", "ways", "_sets", "back_invalidations")
 
     def __init__(
         self,
@@ -62,7 +63,6 @@ class SnoopFilter:
         self.sets = sets
         self.ways = ways
         self._sets: list[dict[int, DirectoryEntry]] = [dict() for _ in range(sets)]
-        self._tick = itertools.count()
         self.back_invalidations = 0
 
     def _bucket(self, addr: int) -> dict[int, DirectoryEntry]:
@@ -80,9 +80,10 @@ class SnoopFilter:
         bucket = self._sets[addr % self.sets]
         entry = bucket.get(addr)
         if entry is not None:
-            entry.holders.add(core)
+            entry.holders |= 1 << core
             entry.inclusive = entry.inclusive or inclusive
-            entry.lru = next(self._tick)
+            del bucket[addr]
+            bucket[addr] = entry
             return None
         victim = None
         if len(bucket) >= self.ways:
@@ -90,20 +91,17 @@ class SnoopFilter:
             if victim is not None:
                 del bucket[victim.addr]
                 self.back_invalidations += 1
-        entry = DirectoryEntry(addr, {core}, inclusive, next(self._tick))
-        bucket[addr] = entry
+        bucket[addr] = DirectoryEntry(addr, 1 << core, inclusive)
         return victim
 
-    def _choose_victim(self, bucket: dict[int, DirectoryEntry]) -> Optional[DirectoryEntry]:
-        victim = None
+    def _choose_victim(self, bucket: dict[int, DirectoryEntry]) -> DirectoryEntry:
+        """The least recently tracked non-pinned entry of ``bucket``."""
         for entry in bucket.values():
-            if not entry.inclusive and (victim is None or entry.lru < victim.lru):
-                victim = entry
-        if victim is None:
-            # All entries pinned to data ways; structurally impossible with
-            # only two inclusive ways, but guard against misuse.
-            raise RuntimeError("snoop filter set has no evictable entry")
-        return victim
+            if not entry.inclusive:
+                return entry
+        # All entries pinned to data ways; structurally impossible with
+        # only two inclusive ways, but guard against misuse.
+        raise RuntimeError("snoop filter set has no evictable entry")
 
     def set_inclusive(self, addr: int, inclusive: bool) -> None:
         entry = self.entry(addr)
@@ -116,7 +114,7 @@ class SnoopFilter:
         entry = bucket.get(addr)
         if entry is None:
             return
-        entry.holders.discard(core)
+        entry.holders &= ~(1 << core)
         if not entry.holders:
             del bucket[addr]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.cache.directory import DirectoryEntry, SnoopFilter
-from repro.cache.line import LlcLine, MlcLine
+from repro.cache.line import LlcLine, MlcLine, holder_cores
 from repro.cache.llc import LastLevelCache, LlcConfig
 from repro.cache.mlc import MidLevelCache
 from repro.platform import DEFAULT_PLATFORM, PlatformSpec
@@ -140,6 +140,8 @@ class CacheHierarchy:
         "_llc_nsets",
         "_sf_sets",
         "_sf_nsets",
+        "_sf_ways",
+        "_mlc_ways",
         "_spare_entry",
         "_spare_lines",
         "_writebacks",
@@ -189,6 +191,8 @@ class CacheHierarchy:
         self._llc_nsets = self.llc._nsets
         self._sf_sets = self.sf._sets
         self._sf_nsets = self.sf.sets
+        self._sf_ways = self.sf.ways
+        self._mlc_ways = cfg.mlc_ways
         self._spare_entry: Optional[DirectoryEntry] = None
         # A directory entry the last MLC eviction freed, reused by the
         # next fill that needs a new one (see _fill_mlc).
@@ -233,12 +237,10 @@ class CacheHierarchy:
         if io_read:
             counters.io_reads += 1
 
-        llc = self.llc
         mlc = self.mlcs[core]
         bucket = mlc._sets[addr % mlc.sets]
         mlc_line = bucket.get(addr)
         if mlc_line is not None:
-            mlc_line.lru = next(mlc._tick)
             del bucket[addr]
             bucket[addr] = mlc_line
             counters.mlc_hits += 1
@@ -248,7 +250,7 @@ class CacheHierarchy:
                 llc_line = self._llc_sets[addr % self._llc_nsets].index.get(addr)
                 if llc_line is not None:
                     self._detach_llc_line(llc_line)
-                    llc.remove(llc_line)
+                    self.llc.remove(llc_line)
             return self._mlc_hit_cycles
 
         counters.mlc_misses += 1
@@ -259,7 +261,7 @@ class CacheHierarchy:
             if lru_tick is not None:
                 llc_line.lru = next(lru_tick)
             else:
-                llc.policy.on_hit(llc_line)
+                self.llc.policy.on_hit(llc_line)
             counters.llc_hits += 1
             if llc_line.io and not llc_line.consumed:
                 # First CPU touch of a DMA-written line: mark consumed and
@@ -273,13 +275,13 @@ class CacheHierarchy:
                 dirty = True
                 io_flag = llc_line.io
                 self._detach_llc_line(llc_line)
-                llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty, io_flag, None)
+                self.llc.remove(llc_line)
+                self._fill_mlc(now, core, addr, stream, dirty, io_flag, None, bucket)
             elif llc_line.io and self._self_invalidate_consumed:
                 # IDIO/Sweeper baseline: the consumed copy self-invalidates.
                 self._detach_llc_line(llc_line)
-                llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, False, True, None)
+                self.llc.remove(llc_line)
+                self._fill_mlc(now, core, addr, stream, False, True, None, bucket)
             elif llc_line.io:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
@@ -323,13 +325,34 @@ class CacheHierarchy:
                         )
                     lcounters.migrations += 1
                     if victim is not None:
-                        # Once accounted for, the displaced record is dead
-                        # (nothing outside the LLC points at it): it becomes
-                        # the next DMA allocate's or fill's new record.
-                        self._dispose_victim(now, victim)
-                        victim.holders.clear()
+                        # Inlined _dispose_victim.  Once accounted for, the
+                        # displaced record is dead (nothing outside the LLC
+                        # points at it): it becomes the next DMA allocate's
+                        # or fill's new record.
+                        vstream = victim.stream
+                        vcounters = self._scounters.get(vstream)
+                        if vcounters is None:
+                            vcounters = self._scounters[vstream] = (
+                                self.counters.stream(vstream)
+                            )
+                        vcounters.llc_evictions_suffered += 1
+                        vholders = victim.holders
+                        if vholders:
+                            vcounters.inclusive_downgrades += 1
+                            vaddr = victim.addr
+                            if victim.dirty:
+                                self._mark_holder_dirty(vaddr, vholders)
+                            entry = self._sf_sets[vaddr % self._sf_nsets].get(vaddr)
+                            if entry is not None:
+                                entry.inclusive = False
+                            victim.holders = 0
+                        else:
+                            if victim.io and not victim.consumed:
+                                vcounters.dma_leaks += 1
+                            if victim.dirty:
+                                self.memory.write(now, 1, vstream)
                         self._spare_lines.append(victim)
-                self._fill_mlc(now, core, addr, stream, False, True, llc_line)
+                self._fill_mlc(now, core, addr, stream, False, True, llc_line, bucket)
             else:
                 # Regular non-inclusive victim-cache hit: the line transfers
                 # to the reader's MLC and the LLC copy is invalidated.
@@ -344,7 +367,7 @@ class CacheHierarchy:
                 del wayset.index[addr]
                 if lru_tick is not None:
                     self._spare_lines.append(llc_line)
-                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, None)
+                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, None, bucket)
             return self._llc_hit_cycles
 
         entry = self._sf_sets[addr % self._sf_nsets].get(addr)
@@ -353,34 +376,37 @@ class CacheHierarchy:
             counters.llc_hits += 1
             if write:
                 self._invalidate_peers(now, addr, None)
-                self._fill_mlc(now, core, addr, stream, True, False, None)
+                self._fill_mlc(now, core, addr, stream, True, False, None, bucket)
             else:
-                self._fill_mlc(now, core, addr, stream, False, False, None)
+                self._fill_mlc(now, core, addr, stream, False, False, None, bucket)
             return self._snoop_hit_cycles
 
         # Full miss: fill the MLC straight from memory (non-inclusive).
         counters.llc_misses += 1
         if io_read:
             counters.io_read_misses += 1
-        self.memory.read(now, 1, stream)
-        latency = self.memory.access_latency()
-        if self.mba is not None:
-            latency *= self.mba.latency_factor(self.cat.clos_of(core))
-        self._fill_mlc(now, core, addr, stream, write, io_read, None)
+        latency = self.memory.read(now, 1, stream)
+        mba = self.mba
+        if mba is not None and mba.factors:
+            # Only while some CLOS is throttled: unthrottled is a ×1.0.
+            latency *= mba.latency_factor(self.cat.clos_of(core))
+        self._fill_mlc(now, core, addr, stream, write, io_read, None, bucket)
         if self._next_line_prefetch and not io_read:
             self._prefetch(now, core, addr + 1, stream)
         return latency
 
     def _prefetch(self, now: float, core: int, addr: int, stream: str) -> None:
         """Timely next-line prefetch into the MLC (no latency charged)."""
-        if self.mlcs[core].peek(addr) is not None:
+        mlc = self.mlcs[core]
+        bucket = mlc._sets[addr % mlc.sets]
+        if addr in bucket:
             return
         if self.llc.lookup(addr, touch=False) is not None:
             return  # leave LLC-resident lines alone (no speculative moves)
         counters = self._stream(stream)
         counters.prefetch_fills += 1
         self.memory.read(now, 1, stream)
-        self._fill_mlc(now, core, addr, stream, False, False, None)
+        self._fill_mlc(now, core, addr, stream, False, False, None, bucket)
 
     def cpu_access_run(
         self,
@@ -409,7 +435,6 @@ class CacheHierarchy:
         mlc = self.mlcs[core]
         msets = mlc._sets
         nmsets = mlc.sets
-        mtick = mlc._tick
         hit_cycles = self._mlc_hit_cycles
         for addr in addrs:
             bucket = msets[addr % nmsets]
@@ -417,7 +442,6 @@ class CacheHierarchy:
             if line is None:
                 total += cpu_access(now, core, addr, stream, False, io_read)
                 continue
-            line.lru = next(mtick)
             del bucket[addr]
             bucket[addr] = line
             counters.mlc_hits += 1
@@ -500,14 +524,14 @@ class CacheHierarchy:
             for addr in range(base_addr, base_addr + lines):
                 # The device takes ownership: cached CPU copies become stale.
                 # (Untracked addresses — the common case for fresh buffers —
-                # skip the full peer walk; LLC holder sets are empty whenever
-                # no snoop filter entry exists, so nothing needs pruning.)
+                # skip the full peer walk; an LLC line's holders are a subset
+                # of its directory entry's, so they are 0 either way after
+                # this.)
                 if sf_sets[addr % sf_nsets].get(addr) is not None:
                     self._invalidate_peers(now, addr, None, True)
                 wayset = llc_sets[addr % llc_nsets]
                 llc_line = wayset.index.get(addr)
                 if llc_line is not None:
-                    llc_line.holders.clear()
                     if allocating and write_update:
                         # DDIO write-update in place.
                         updates += 1
@@ -578,7 +602,7 @@ class CacheHierarchy:
                     # An inclusive victim only loses its LLC data copy.
                     self._dispose_victim(now, victim)
                     if lru_tick is not None:
-                        victim.holders.clear()
+                        victim.holders = 0
                         spares.append(victim)
                     continue
                 # Inlined _dispose_victim, no-holders case, its write-back
@@ -654,8 +678,8 @@ class CacheHierarchy:
         entry = self.sf.entry(addr)
         if entry is not None and entry.holders:
             # MLC-only data: read-allocate a copy into the inclusive ways.
-            holder = next(iter(entry.holders))
-            mlc_line = self.mlcs[holder].peek(addr)
+            holders = entry.holders
+            mlc_line = self.mlcs[(holders & -holders).bit_length() - 1].peek(addr)
             dirty = bool(mlc_line and mlc_line.dirty)
             owner_stream = mlc_line.stream if mlc_line else stream
             new_line, victim = self.llc.allocate(
@@ -665,7 +689,7 @@ class CacheHierarchy:
                 dirty=dirty,
                 io=False,
             )
-            new_line.holders = set(entry.holders)
+            new_line.holders = holders
             self.sf.set_inclusive(addr, True)
             if mlc_line is not None:
                 mlc_line.dirty = False
@@ -698,13 +722,15 @@ class CacheHierarchy:
         dirty: bool,
         io: bool,
         llc_line: Optional[LlcLine],
+        bucket: dict,
     ) -> None:
         """Install ``addr`` into ``core``'s MLC, track it in the extended
         directory, and push the MLC's victim (if any) down into the LLC.
 
-        ``llc_line`` is the line's current LLC copy — callers always know
-        it (most paths just removed it or verified a miss), so passing it
-        here saves a redundant LLC lookup per fill.
+        ``llc_line`` is the line's current LLC copy and ``bucket`` the MLC
+        set ``addr`` maps to, which must not hold it — callers always know
+        both (they just looked ``addr`` up), so passing them here saves
+        the lookups.
 
         Victim-cache behaviour: an evicted MLC line allocates into the LLC
         within the evicting core's CAT mask (unless already resident).
@@ -718,11 +744,7 @@ class CacheHierarchy:
         Callers pass every argument positionally (this runs once per MLC
         miss).
         """
-        mlc = self.mlcs[core]
-        bucket = mlc._sets[addr % mlc.sets]
-        if addr in bucket:
-            raise ValueError(f"addr {addr:#x} already resident")
-        if len(bucket) >= mlc.ways:
+        if len(bucket) >= self._mlc_ways:
             # MLC sets are kept in recency order: the first key is LRU.
             victim_addr = next(iter(bucket))
             line = bucket.pop(victim_addr)
@@ -736,43 +758,42 @@ class CacheHierarchy:
         else:
             victim_addr = None
             line = MlcLine(addr, stream, dirty, io)
-        line.lru = next(mlc._tick)
         bucket[addr] = line
         # Inlined SnoopFilter.track: a fresh MLC holder is the common case
         # (buffers are per-core), so build the entry here; an existing
         # entry just gains a holder.
-        sf = self.sf
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
+        bit = 1 << core
         sf_bucket = sf_sets[addr % sf_nsets]
         entry = sf_bucket.get(addr)
         if entry is None:
             evicted_entry = None
-            if len(sf_bucket) >= sf.ways:
+            if len(sf_bucket) >= self._sf_ways:
+                sf = self.sf
                 evicted_entry = sf._choose_victim(sf_bucket)
                 del sf_bucket[evicted_entry.addr]
                 sf.back_invalidations += 1
             entry = self._spare_entry
             if entry is None:
-                entry = DirectoryEntry(
-                    addr, {core}, llc_line is not None, next(sf._tick)
-                )
+                entry = DirectoryEntry(addr, bit, llc_line is not None)
             else:
                 self._spare_entry = None
                 entry.addr = addr
-                entry.holders.add(core)
+                entry.holders = bit
                 entry.inclusive = llc_line is not None
-                entry.lru = next(sf._tick)
             sf_bucket[addr] = entry
             if evicted_entry is not None:
                 self._back_invalidate(now, evicted_entry)
         else:
-            entry.holders.add(core)
+            entry.holders |= bit
             if llc_line is not None:
                 entry.inclusive = True
-            entry.lru = next(sf._tick)
+            # Directory sets are kept in recency order, like MLC sets.
+            del sf_bucket[addr]
+            sf_bucket[addr] = entry
         if llc_line is not None:
-            llc_line.holders.add(core)
+            llc_line.holders |= bit
         if victim_addr is None:
             return
 
@@ -783,8 +804,9 @@ class CacheHierarchy:
         sf_bucket = sf_sets[addr % sf_nsets]
         entry = sf_bucket.get(addr)
         if entry is not None:
-            entry.holders.discard(core)
-            if not entry.holders:
+            holders = entry.holders & ~bit
+            entry.holders = holders
+            if not holders:
                 del sf_bucket[addr]
                 self._spare_entry = entry
                 entry = None
@@ -792,20 +814,19 @@ class CacheHierarchy:
         index = wayset.index
         llc_line = index.get(addr)
         if llc_line is not None:
-            llc_line.holders.discard(core)
-            if not llc_line.holders and entry is not None:
+            lholders = llc_line.holders & ~bit
+            llc_line.holders = lholders
+            if not lholders and entry is not None:
                 entry.inclusive = False
             # Was inclusive: the LLC copy absorbs the eviction.
             llc_line.dirty = llc_line.dirty or vdirty
             return
 
-        if entry is not None and entry.holders:
-            # A peer MLC still holds the line: silent drop of this copy.
+        if entry is not None:
+            # A peer MLC still holds the line (a tracked entry never holds
+            # 0): silent drop of this copy.
             if vdirty:
-                peer = next(iter(entry.holders))
-                peer_line = self.mlcs[peer].peek(addr)
-                if peer_line is not None:
-                    peer_line.dirty = True
+                self._mark_holder_dirty(addr, holders)
             return
 
         if vio and self._self_invalidate_consumed:
@@ -887,7 +908,7 @@ class CacheHierarchy:
         if victim is not None:
             # An inclusive victim: accounted for, then parked for reuse.
             self._dispose_victim(now, victim)
-            victim.holders.clear()
+            victim.holders = 0
             spares.append(victim)
 
     def _dispose_victim(self, now: float, victim: LlcLine) -> None:
@@ -903,10 +924,7 @@ class CacheHierarchy:
             counters.inclusive_downgrades += 1
             addr = victim.addr
             if victim.dirty:
-                holder = next(iter(victim.holders))
-                holder_line = self.mlcs[holder].peek(addr)
-                if holder_line is not None:
-                    holder_line.dirty = True
+                self._mark_holder_dirty(addr, victim.holders)
             sf = self.sf
             entry = sf._sets[addr % sf.sets].get(addr)
             if entry is not None:
@@ -917,6 +935,13 @@ class CacheHierarchy:
         if victim.dirty:
             self.memory.write(now, 1, victim.stream)
 
+    def _mark_holder_dirty(self, addr: int, holders: int) -> None:
+        """Dirty data leaving one copy of ``addr`` lands in a remaining
+        holder's MLC copy: that of the lowest core id in ``holders``."""
+        line = self.mlcs[(holders & -holders).bit_length() - 1].peek(addr)
+        if line is not None:
+            line.dirty = True
+
     def _detach_llc_line(self, llc_line: LlcLine) -> None:
         """Prepare an LLC line for removal: release directory coupling."""
         if llc_line.holders:
@@ -925,7 +950,7 @@ class CacheHierarchy:
             entry = sf._sets[addr % sf.sets].get(addr)
             if entry is not None:
                 entry.inclusive = False
-            llc_line.holders.clear()
+            llc_line.holders = 0
 
     def _invalidate_peers(
         self,
@@ -944,7 +969,7 @@ class CacheHierarchy:
         if entry is None:
             return False
         dirty_dropped = False
-        for core in list(entry.holders):
+        for core in holder_cores(entry.holders):
             if core == keep_core:
                 continue
             dropped = self.mlcs[core].invalidate(addr)
@@ -956,16 +981,17 @@ class CacheHierarchy:
         llc = self.llc
         llc_line = llc._sets[addr % llc._nsets].index.get(addr)
         if llc_line is not None:
-            llc_line.holders = {
-                c for c in llc_line.holders if c == keep_core
-            }
+            if keep_core is None:
+                llc_line.holders = 0
+            else:
+                llc_line.holders &= 1 << keep_core
             if not llc_line.holders:
                 self.sf.set_inclusive(addr, False)
         return dirty_dropped
 
     def _back_invalidate(self, now: float, entry) -> None:
         """An extended-directory eviction forces MLC copies out."""
-        for core in list(entry.holders):
+        for core in holder_cores(entry.holders):
             dropped = self.mlcs[core].invalidate(entry.addr)
             if dropped is not None:
                 self._stream(dropped.stream).back_invalidations += 1

@@ -12,6 +12,12 @@ bits the paper's contentions hinge on:
   the two inclusive ways), and which stream (workload) allocated them, for
   attribution of evictions and leaks.
 
+Which MLCs hold a line is a *holder mask*: an ``int`` with bit ``c`` set
+for each core ``c`` (``holders |= 1 << core`` to add one, ``&= ~(1 <<
+core)`` to drop one, ``0`` for none); :func:`holder_cores` lists them.  An
+MLC line carries no recency stamp: each MLC set is kept in recency order
+(see :mod:`repro.cache.mlc`).
+
 Both classes are plain ``__slots__`` records rather than dataclasses:
 millions of them are allocated per run, and the closed attribute set plus
 the skipped instance ``__dict__`` are worth a measurable share of the
@@ -20,13 +26,23 @@ simulation's wall time.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional
+
+
+def holder_cores(holders: int) -> List[int]:
+    """The core ids set in the holder mask ``holders``, lowest first."""
+    cores = []
+    while holders:
+        low = holders & -holders
+        cores.append(low.bit_length() - 1)
+        holders ^= low
+    return cores
 
 
 class MlcLine:
     """A line resident in a private mid-level cache."""
 
-    __slots__ = ("addr", "stream", "dirty", "io", "lru")
+    __slots__ = ("addr", "stream", "dirty", "io")
 
     def __init__(
         self,
@@ -34,18 +50,16 @@ class MlcLine:
         stream: str,
         dirty: bool = False,
         io: bool = False,
-        lru: int = 0,
     ):
         self.addr = addr
         self.stream = stream
         self.dirty = dirty
         self.io = io
-        self.lru = lru
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MlcLine(addr={self.addr:#x}, stream={self.stream!r}, "
-            f"dirty={self.dirty}, io={self.io}, lru={self.lru})"
+            f"dirty={self.dirty}, io={self.io})"
         )
 
 
@@ -73,7 +87,7 @@ class LlcLine:
         io: bool = False,
         consumed: bool = False,
         lru: int = 0,
-        holders: Optional[Set[int]] = None,
+        holders: int = 0,
         meta: Optional[Dict[str, int]] = None,
     ):
         self.addr = addr
@@ -83,19 +97,20 @@ class LlcLine:
         self.io = io
         self.consumed = consumed
         self.lru = lru
-        self.holders: Set[int] = set() if holders is None else holders
-        """Core ids whose MLC also holds this line (non-empty => LLC-inclusive)."""
+        self.holders = holders
+        """Mask of the cores whose MLC also holds this line (non-zero =>
+        LLC-inclusive)."""
         self.meta: Dict[str, int] = {} if meta is None else meta
         """Replacement-policy metadata (e.g. the RRIP re-reference value)."""
 
     @property
     def inclusive(self) -> bool:
         """True when the line is resident in both the LLC and some MLC."""
-        return bool(self.holders)
+        return self.holders != 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LlcLine(addr={self.addr:#x}, stream={self.stream!r}, "
             f"way={self.way}, dirty={self.dirty}, io={self.io}, "
-            f"consumed={self.consumed}, holders={self.holders})"
+            f"consumed={self.consumed}, holders={holder_cores(self.holders)})"
         )

@@ -4,15 +4,14 @@ Plain set-associative LRU.  In the non-inclusive hierarchy modelled here the
 MLC is where demand fills land first; its evictions are what the paper calls
 *DMA bloat* when they carry consumed I/O data back into the LLC.
 
-Each set is a dict kept in recency order: every recency tick (a fill or a
-hit) also moves the line to the end of its set, so the first key is always
-the line with the smallest ``lru`` and picking a victim needs no scan.  Any
-code that stamps a line's ``lru`` must move it to the end as well.
+Each set is a dict kept in recency order, which is the whole LRU state:
+a fill appends its line and a hit moves its line to the end of its set,
+so the first key is always the least recently used line and picking a
+victim needs no scan.  Lines carry no recency stamp.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional
 
 from repro.cache.line import MlcLine
@@ -22,7 +21,7 @@ from repro.platform import DEFAULT_PLATFORM
 class MidLevelCache:
     """One core's private L2."""
 
-    __slots__ = ("core_id", "sets", "ways", "_sets", "_tick")
+    __slots__ = ("core_id", "sets", "ways", "_sets")
 
     def __init__(
         self,
@@ -36,7 +35,6 @@ class MidLevelCache:
         self.sets = sets
         self.ways = ways
         self._sets: list[dict[int, MlcLine]] = [dict() for _ in range(sets)]
-        self._tick = itertools.count()
 
     @property
     def capacity_lines(self) -> int:
@@ -49,7 +47,6 @@ class MidLevelCache:
         bucket = self._sets[addr % self.sets]
         line = bucket.get(addr)
         if line is not None:
-            line.lru = next(self._tick)
             del bucket[addr]
             bucket[addr] = line
         return line
@@ -66,7 +63,6 @@ class MidLevelCache:
         victim = None
         if len(bucket) >= self.ways:
             victim = bucket.pop(next(iter(bucket)))
-        line.lru = next(self._tick)
         bucket[line.addr] = line
         return victim
 

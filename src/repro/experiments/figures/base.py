@@ -99,8 +99,10 @@ def resumable_run(
         server = build()
 
     def save(server: Server, sample) -> None:
-        """Epoch hook: snapshot every ``every`` completed epochs."""
-        if server.epochs_completed % every:
+        """Epoch hook: snapshot every ``every`` completed epochs, short of
+        the last one (the probe never restores a finished run)."""
+        completed = server.epochs_completed
+        if completed % every or completed >= epochs:
             return
         state = ckpt.snapshot(server)
         key = _checkpoint_key(run_key, state.epoch)

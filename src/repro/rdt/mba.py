@@ -8,7 +8,10 @@ that rate-limits a core's L2-miss requests toward memory.
 
 Modelled effect: a core in a throttled CLOS sees its memory-access latency
 scaled by ``1 / (1 - delay)`` — the request spends the extra time parked in
-the throttling queue.  Unthrottled CLOS (delay 0) are unaffected.
+the throttling queue.  Unthrottled CLOS (delay 0) are unaffected: only the
+throttled ones have an entry in ``factors``, so a memory access checks that
+dict for emptiness and scales its latency only while some CLOS is
+throttled.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class MemoryBandwidthAllocation:
     def __init__(self, num_clos: int = 16):
         self.num_clos = num_clos
         self._delays: Dict[int, int] = {c: 0 for c in range(num_clos)}
+        self.factors: Dict[int, float] = {}
+        """The latency multiplier of every throttled CLOS (none is 1.0)."""
 
     def set_delay(self, clos: int, delay_percent: int) -> None:
         """Program ``clos``'s delay value (one of the coarse MBA steps)."""
@@ -36,6 +41,10 @@ class MemoryBandwidthAllocation:
                 f"MBA delay must be one of {VALID_DELAYS}, got {delay_percent}"
             )
         self._delays[clos] = delay_percent
+        if delay_percent:
+            self.factors[clos] = 1.0 / (1.0 - delay_percent / 100.0)
+        else:
+            self.factors.pop(clos, None)
 
     def delay_of(self, clos: int) -> int:
         self._validate_clos(clos)
@@ -43,8 +52,7 @@ class MemoryBandwidthAllocation:
 
     def latency_factor(self, clos: int) -> float:
         """Multiplier applied to a throttled core's memory latency."""
-        delay = self._delays.get(clos, 0)
-        return 1.0 / (1.0 - delay / 100.0)
+        return self.factors.get(clos, 1.0)
 
     def _validate_clos(self, clos: int) -> None:
         if not 0 <= clos < self.num_clos:

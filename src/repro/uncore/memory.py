@@ -25,6 +25,7 @@ class MemoryController:
         "_window_start",
         "_window_lines",
         "_utilization",
+        "_latency",
         "total_reads",
         "total_writes",
     )
@@ -46,6 +47,8 @@ class MemoryController:
         self._window_start = 0.0
         self._window_lines = 0
         self._utilization = 0.0
+        self._latency = self._latency_at(0.0)
+        # ^ access_latency(), recomputed whenever the utilisation moves.
         self.total_reads = 0
         self.total_writes = 0
 
@@ -63,7 +66,9 @@ class MemoryController:
 
     # -- traffic -------------------------------------------------------------
 
-    def read(self, now: float, lines: int, stream: str) -> None:
+    def read(self, now: float, lines: int, stream: str) -> float:
+        """Account a read of ``lines``; returns :meth:`access_latency` as
+        it stands after the read (a CPU miss's memory latency)."""
         self.total_reads += lines
         counters = self._scounters.get(stream)
         if counters is None:
@@ -72,6 +77,7 @@ class MemoryController:
         if now - self._window_start >= self.window:
             self._roll_window(now)
         self._window_lines += lines
+        return self._latency
 
     def write(self, now: float, lines: int, stream: str) -> None:
         self.total_writes += lines
@@ -94,6 +100,7 @@ class MemoryController:
         inst = self._window_lines / elapsed / self.bandwidth
         # Exponential decay keeps the estimate smooth across windows.
         self._utilization = 0.5 * self._utilization + 0.5 * min(inst, 1.0)
+        self._latency = self._latency_at(self._utilization)
         self._window_start = now
         self._window_lines = 0
 
@@ -105,5 +112,8 @@ class MemoryController:
 
     def access_latency(self) -> float:
         """Current load-to-use DRAM latency including queueing."""
-        rho = min(self._utilization, 0.92)
+        return self._latency
+
+    def _latency_at(self, utilization: float) -> float:
+        rho = min(utilization, 0.92)
         return self.base_latency * (1.0 + 0.5 * rho / (1.0 - rho))

@@ -32,6 +32,7 @@ import pytest
 
 from repro import obsv
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.line import holder_cores
 from repro.cache.llc import LlcConfig
 from repro.platform import CASCADELAKE_SP, ICELAKE_SP, SKYLAKE_SP
 from repro.rdt.cat import CacheAllocation
@@ -75,7 +76,7 @@ def llc_state(hierarchy):
             line.io,
             line.consumed,
             line.lru,
-            tuple(sorted(line.holders)),
+            tuple(holder_cores(line.holders)),
         )
         for line in hierarchy.llc.resident()
     )
@@ -95,12 +96,12 @@ def mlc_state(hierarchy):
 
 
 def sf_state(hierarchy):
-    """Every directory set's entries from least to most recently tracked
+    """Every directory set's entries in key order, which is recency order
     (the order its LRU eviction walks)."""
     return [
         [
-            (entry.addr, tuple(sorted(entry.holders)), entry.inclusive)
-            for entry in sorted(bucket.values(), key=lambda e: e.lru)
+            (entry.addr, tuple(holder_cores(entry.holders)), entry.inclusive)
+            for entry in bucket.values()
         ]
         for bucket in hierarchy.sf._sets
     ]
@@ -136,12 +137,12 @@ def check_invariants(hierarchy):
 
     Every LLC line sits in the slot its ``way`` names and is indexed under
     its own address; every MLC and snoop-filter record is keyed by its own
-    address; no record (or holder set) is reachable from two places — the
-    failure mode of reusing an evicted record that is still referenced;
-    and holders are consistent: each core an LLC line or directory entry
-    lists really holds the line in its MLC, an LLC line's holders are a
-    subset of its directory entry's, a directory entry always has a holder
-    and a parked record has none.
+    address; no record is reachable from two places — the failure mode of
+    reusing an evicted record that is still referenced; and holder masks
+    are consistent: each core an LLC line or directory entry lists really
+    holds the line in its MLC, an LLC line's holders are a subset of its
+    directory entry's, a directory entry never holds 0 and a parked record
+    holds 0.
     """
     seen = set()
     sf = hierarchy.sf
@@ -160,13 +161,13 @@ def check_invariants(hierarchy):
             assert line.way == way
             assert index[line.addr] is slots[line.way]
             once(line, f"llc {line.addr:#x}")
-            once(line.holders, f"llc {line.addr:#x} holders")
             if line.holders:
                 entry = sf.entry(line.addr)
-                assert entry is not None and set(line.holders) <= set(
-                    entry.holders
-                ), f"llc {line.addr:#x} holders not tracked"
-            for core in line.holders:
+                assert entry is not None
+                assert line.holders & ~entry.holders == 0, (
+                    f"llc {line.addr:#x} holders not tracked"
+                )
+            for core in holder_cores(line.holders):
                 assert mlcs[core].peek(line.addr) is not None, (
                     f"llc {line.addr:#x} holder {core} lacks the line"
                 )
@@ -178,10 +179,9 @@ def check_invariants(hierarchy):
     for bucket in sf._sets:
         for addr, entry in bucket.items():
             assert addr == entry.addr
-            assert entry.holders, f"sf {addr:#x} has no holders"
+            assert entry.holders != 0, f"sf {addr:#x} has no holders"
             once(entry, f"sf {addr:#x}")
-            once(entry.holders, f"sf {addr:#x} holders")
-            for core in entry.holders:
+            for core in holder_cores(entry.holders):
                 assert mlcs[core].peek(addr) is not None, (
                     f"sf {addr:#x} holder {core} lacks the line"
                 )
@@ -193,9 +193,8 @@ def check_invariants(hierarchy):
         # A record parked for reuse is dead: in no slot (``once`` has seen
         # every slot), no index and not parked twice, and clean.
         once(spare, "spare llc line")
-        once(spare.holders, "spare llc line holders")
         assert id(spare) not in indexed
-        assert not spare.holders and not spare.meta
+        assert spare.holders == 0 and not spare.meta
 
 
 def nvme_spans(rng):

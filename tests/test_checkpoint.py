@@ -325,7 +325,7 @@ def _ckpt_key(run_key, epoch):
 
 def _checkpointed(ckpt_dir, run_key="runA", epochs=8):
     """One checkpointing ``resumable_run``; quarter-run cadence, so an
-    8-epoch run stores epochs 2, 4, 6 and 8."""
+    8-epoch run stores epochs 2, 4 and 6 (never the finished run)."""
     return resumable_run(
         _xmem_server, run_key, epochs, 2, checkpoint_dir=str(ckpt_dir)
     )
@@ -359,10 +359,10 @@ def test_store_save_load_latest(tmp_path):
     ckpt_dir = tmp_path / "ckpt"
     _, first = _checkpointed(ckpt_dir)
     store = runcache.RunCache(root=ckpt_dir)
-    for epoch in (2, 4, 6, 8):
+    for epoch in (2, 4, 6):
         state = store.get(_ckpt_key("runA", epoch))
         assert isinstance(state, SimState) and state.epoch == epoch
-    for epoch in (1, 3, 5, 7):
+    for epoch in (1, 3, 5, 7, 8):
         assert store.get(_ckpt_key("runA", epoch)) is runcache.MISS
     assert store.get(_ckpt_key("other-run", 2)) is runcache.MISS
     resumed = checkpoint.restore(store.get(_ckpt_key("runA", 4)))
@@ -484,7 +484,7 @@ def test_run_setup_resumes_from_checkpoint(tmp_path):
         checkpoint_dir=str(ckpt_dir),
     )
     saved = [e for e in obsv.TRACER.events if e.kind == KIND_CHECKPOINT]
-    assert [e.data["epoch"] for e in saved] == [2, 4, 6, 8]
+    assert [e.data["epoch"] for e in saved] == [2, 4, 6]
 
     runcache.configure(enabled=False)
     obsv.disable()

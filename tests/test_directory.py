@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cache.directory import SnoopFilter
+from repro.cache.line import holder_cores
 
 
 def test_track_and_entry():
     sf = SnoopFilter(sets=2, ways=4)
     assert sf.track(0, core=1, inclusive=False) is None
     entry = sf.entry(0)
-    assert entry is not None and entry.holders == {1}
+    assert entry is not None and holder_cores(entry.holders) == [1]
 
 
 def test_track_second_holder_merges():
@@ -17,7 +18,7 @@ def test_track_second_holder_merges():
     sf.track(0, core=1, inclusive=False)
     sf.track(0, core=2, inclusive=True)
     entry = sf.entry(0)
-    assert entry.holders == {1, 2}
+    assert holder_cores(entry.holders) == [1, 2]
     assert entry.inclusive
 
 
@@ -29,6 +30,15 @@ def test_overflow_evicts_lru_non_inclusive():
     victim = sf.track(2, core=0, inclusive=False)
     assert victim is not None and victim.addr == 0
     assert sf.back_invalidations == 1
+
+
+def test_gaining_a_holder_makes_an_entry_most_recent():
+    sf = SnoopFilter(sets=1, ways=2)
+    sf.track(0, core=0, inclusive=False)
+    sf.track(1, core=0, inclusive=False)
+    sf.track(0, core=1, inclusive=False)
+    victim = sf.track(2, core=0, inclusive=False)
+    assert victim is not None and victim.addr == 1
 
 
 def test_inclusive_entries_protected_from_eviction():
@@ -52,7 +62,7 @@ def test_drop_holder_removes_entry_when_empty():
     sf.track(0, core=0, inclusive=False)
     sf.track(0, core=1, inclusive=False)
     sf.drop_holder(0, 0)
-    assert sf.entry(0).holders == {1}
+    assert holder_cores(sf.entry(0).holders) == [1]
     sf.drop_holder(0, 1)
     assert sf.entry(0) is None
 

@@ -95,7 +95,7 @@ def test_slotted_classes_reject_new_attributes(instance):
 def test_llc_line_inclusive_follows_holders():
     line = LlcLine(addr=1, stream="s", way=0)
     assert not line.inclusive
-    line.holders.add(3)
+    line.holders |= 1 << 3
     assert line.inclusive
 
 
