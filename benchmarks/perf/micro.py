@@ -8,7 +8,7 @@ Each benchmark isolates one layer the end-to-end figures hammer:
 * ``dma_write``   — the DDIO ingress path (write-allocate / write-update)
   plus periodic consuming reads, the paper's NIC Rx pattern;
 * ``engine``      — raw event-loop throughput of :class:`Simulator` with a
-  handful of self-rescheduling generator processes;
+  handful of self-rescheduling restartable processes;
 * ``counters``    — :class:`StreamCounters` snapshot/delta plus
   :meth:`CounterBank.total`, the per-epoch sampling cost.
 
@@ -96,19 +96,36 @@ def bench_dma_write(quick: bool) -> Dict[str, float]:
     return _best_of(5, body)
 
 
+_LADDER = (1.0, 3.0, 8.0, 24.0, 17.0, 41.0, 81.0, 5120.0, 5.0, 16.0, 2.0, 73.0)
+"""``wheel_engine``'s delay ladder: short delays, exact ties between
+processes, and an occasional long sleep."""
+
+
+class _Actors:
+    """Owner of the engine scenarios' restartable processes."""
+
+    def ticker(self):
+        while True:
+            yield 1.0
+
+    def ladder(self, phase: int):
+        delays = _LADDER
+        n_delays = len(delays)
+        k = phase
+        while True:
+            yield delays[k % n_delays]
+            k += 1
+
+
 def bench_engine(quick: bool) -> Dict[str, float]:
     steps = 50_000 if quick else 250_000
     nprocs = 8
 
     def body() -> int:
         sim = Simulator()
-
-        def ticker():
-            while True:
-                yield 1.0
-
+        actors = _Actors()
         for p in range(nprocs):
-            sim.spawn(f"p{p}", ticker())
+            sim.spawn_restartable(f"p{p}", actors, "ticker")
         for _ in range(steps):
             sim.step()
         return steps
@@ -148,23 +165,15 @@ def bench_wheel_engine(quick: bool) -> Dict[str, float]:
     and is kept so bench records stay comparable."""
     target_events = 40_000 if quick else 200_000
     nprocs = 32
-    delays = (1.0, 3.0, 8.0, 24.0, 17.0, 41.0, 81.0, 5120.0, 5.0, 16.0, 2.0, 73.0)
 
     def body() -> int:
         sim = Simulator()
-        n_delays = len(delays)
-
-        def actor(phase: int):
-            k = phase
-            while True:
-                yield delays[k % n_delays]
-                k += 1
-
+        actors = _Actors()
         for p in range(nprocs):
-            sim.spawn(f"w{p}", actor(p))
+            sim.spawn_restartable(f"w{p}", actors, "ladder", p)
         # Mean delay ~ (sum of the ladder)/12; run long enough for the
         # event budget regardless of parameter tuning.
-        horizon = (sum(delays) / len(delays)) * (target_events / nprocs)
+        horizon = (sum(_LADDER) / len(_LADDER)) * (target_events / nprocs)
         sim.run_until(horizon)
         return sim.events_executed
 

@@ -14,7 +14,9 @@ non-pinned portion overflows, the LRU entry is evicted and the caller must
 back-invalidate the MLCs holding it.  Each set is a dict kept in recency
 order, which is its whole LRU state: a new entry is appended and an entry
 that gains a holder moves to the end, so the LRU non-pinned entry is the
-first non-pinned one in key order.
+first non-pinned one in key order.  Entries are made, refreshed and
+evicted by :class:`~repro.cache.hierarchy.CacheHierarchy`'s MLC fill,
+which works on the set dicts directly.
 
 An entry's ``holders`` is a core bitmask (bit ``c`` set while core ``c``'s
 MLC holds the line, see :mod:`repro.cache.line`); an entry whose last
@@ -70,29 +72,6 @@ class SnoopFilter:
 
     def entry(self, addr: int) -> Optional[DirectoryEntry]:
         return self._sets[addr % self.sets].get(addr)
-
-    def track(self, addr: int, core: int, inclusive: bool) -> Optional[DirectoryEntry]:
-        """Record that ``core``'s MLC now holds ``addr``.
-
-        Returns an evicted entry when the set overflows; the caller must
-        back-invalidate that entry's holders.
-        """
-        bucket = self._sets[addr % self.sets]
-        entry = bucket.get(addr)
-        if entry is not None:
-            entry.holders |= 1 << core
-            entry.inclusive = entry.inclusive or inclusive
-            del bucket[addr]
-            bucket[addr] = entry
-            return None
-        victim = None
-        if len(bucket) >= self.ways:
-            victim = self._choose_victim(bucket)
-            if victim is not None:
-                del bucket[victim.addr]
-                self.back_invalidations += 1
-        bucket[addr] = DirectoryEntry(addr, 1 << core, inclusive)
-        return victim
 
     def _choose_victim(self, bucket: dict[int, DirectoryEntry]) -> DirectoryEntry:
         """The least recently tracked non-pinned entry of ``bucket``."""

@@ -759,9 +759,9 @@ class CacheHierarchy:
             victim_addr = None
             line = MlcLine(addr, stream, dirty, io)
         bucket[addr] = line
-        # Inlined SnoopFilter.track: a fresh MLC holder is the common case
-        # (buffers are per-core), so build the entry here; an existing
-        # entry just gains a holder.
+        # Track the new holder in the extended directory: a fresh MLC
+        # holder is the common case (buffers are per-core), so build the
+        # entry here; an existing entry just gains a holder.
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
         bit = 1 << core

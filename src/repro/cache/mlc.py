@@ -7,7 +7,10 @@ MLC is where demand fills land first; its evictions are what the paper calls
 Each set is a dict kept in recency order, which is the whole LRU state:
 a fill appends its line and a hit moves its line to the end of its set,
 so the first key is always the least recently used line and picking a
-victim needs no scan.  Lines carry no recency stamp.
+victim needs no scan.  Lines carry no recency stamp.  Fills and hits are
+:class:`~repro.cache.hierarchy.CacheHierarchy`'s job (``cpu_access`` and
+``_fill_mlc`` work on the set dicts directly); this class holds the sets
+and answers inspection and invalidation.
 """
 
 from __future__ import annotations
@@ -40,31 +43,9 @@ class MidLevelCache:
     def capacity_lines(self) -> int:
         return self.sets * self.ways
 
-    def _set_for(self, addr: int) -> dict[int, MlcLine]:
-        return self._sets[addr % self.sets]
-
-    def lookup(self, addr: int) -> Optional[MlcLine]:
-        bucket = self._sets[addr % self.sets]
-        line = bucket.get(addr)
-        if line is not None:
-            del bucket[addr]
-            bucket[addr] = line
-        return line
-
     def peek(self, addr: int) -> Optional[MlcLine]:
         """Lookup without perturbing LRU (for inspection and invalidation)."""
         return self._sets[addr % self.sets].get(addr)
-
-    def insert(self, line: MlcLine) -> Optional[MlcLine]:
-        """Install ``line``; returns the evicted victim, if any."""
-        bucket = self._sets[line.addr % self.sets]
-        if line.addr in bucket:
-            raise ValueError(f"addr {line.addr:#x} already resident")
-        victim = None
-        if len(bucket) >= self.ways:
-            victim = bucket.pop(next(iter(bucket)))
-        bucket[line.addr] = line
-        return victim
 
     def invalidate(self, addr: int) -> Optional[MlcLine]:
         """Drop ``addr`` if resident, returning the dropped line."""

@@ -22,7 +22,7 @@ disabling) → A4-d (+ pseudo LLC bypassing) = full A4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.platform import DEFAULT_PLATFORM, PlatformSpec
 
@@ -119,15 +119,6 @@ class A4Policy:
             dca_last_way=platform.dca_ways[-1],
             inclusive_first_way=platform.inclusive_ways[0],
             **overrides,
-        )
-
-    def on_platform(self, platform: PlatformSpec) -> "A4Policy":
-        """This policy's thresholds re-anchored to ``platform``'s layout."""
-        return replace(
-            self,
-            total_ways=platform.llc_ways,
-            dca_last_way=platform.dca_ways[-1],
-            inclusive_first_way=platform.inclusive_ways[0],
         )
 
     @property

@@ -56,9 +56,8 @@ def snapshot(server) -> SimState:
     """Capture ``server`` as a :class:`SimState`.
 
     Raises :class:`~repro.sim.engine.SnapshotError` (via the simulator's
-    ``__getstate__``) if any live process was spawned without a
-    restartable factory, and :class:`CheckpointError` if anything in the
-    graph cannot pickle."""
+    ``__getstate__``) when taken from inside a running process body, and
+    :class:`CheckpointError` if anything in the graph cannot pickle."""
     try:
         payload = pickle.dumps(server, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:

@@ -90,10 +90,6 @@ class StreamSample:
             / self.epoch_cycles
         )
 
-    @property
-    def dma_write_lines(self) -> int:
-        return self.counters.dma_writes
-
 
 @dataclass
 class EpochSample:

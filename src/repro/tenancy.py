@@ -147,13 +147,6 @@ class TenantSpec:
     def latency_critical(self) -> bool:
         return self.tenant_class == CLASS_LATENCY_CRITICAL
 
-    @property
-    def has_slo(self) -> bool:
-        return (
-            self.slo_p99_latency is not None
-            or self.slo_min_throughput is not None
-        )
-
     # -- identity ----------------------------------------------------------
 
     def fingerprint(self) -> Dict[str, object]:

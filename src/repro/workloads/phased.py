@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from repro.telemetry.pcm import KIND_CPU
 from repro.workloads.base import METRIC_IPC, Workload
-from repro.workloads.synthetic import PATTERN_SEQUENTIAL, AccessProfile
+from repro.workloads.synthetic import (
+    PATTERN_SEQUENTIAL,
+    PATTERN_STRIDE,
+    AccessProfile,
+)
 
 
 class _PhasedState:
@@ -51,6 +55,13 @@ class PhasedWorkload(Workload):
         super().__init__(name, priority, cores, tenant=tenant)
         if active_cycles <= 0 or idle_cycles < 0:
             raise ValueError("phase lengths must be positive (idle >= 0)")
+        if profile.pattern == PATTERN_STRIDE or profile.repeats > 1:
+            # The phase loop draws one sequential or random address per
+            # access; it has no stride walk and no per-line reuse.
+            raise ValueError(
+                "phased workloads run only sequential or random profiles "
+                "with repeats=1"
+            )
         self.profile = profile
         self.active_cycles = active_cycles
         self.idle_cycles = idle_cycles

@@ -242,32 +242,49 @@ def test_snapshot_rejects_unpicklable_graph():
 # -- far-future pending() and the in-action snapshot guard -----------------
 
 
+class _Sleeper:
+    """Owner of restartable processes that sleep once, then record the
+    time they woke at and return."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired = []
+
+    def sleep(self, cycles):
+        yield cycles
+        self.fired.append(self.sim.now)
+
+
 def test_pending_surfaces_far_heap_events():
-    """Events scheduled far in the future (4096 cycles was the horizon of
-    the engine's former calendar wheel) must show in ``pending()``: the
+    """Resumes far in the future (4096 cycles was the horizon of the
+    engine's former calendar wheel) must show in ``pending()``: the
     snapshot protocol and idle detection both rely on the full queue being
     visible."""
     sim = Simulator()
     span = 4096.0
-    near = sim.schedule(10.0, lambda s: None)
-    far = sim.schedule(span * 4, lambda s: None)
-    assert [e.time for e in sim.pending()] == [10.0, span * 4]
+    sleeper = _Sleeper(sim)
+    sim.spawn_restartable("near", sleeper, "sleep", 10.0)
+    sim.spawn_restartable("far", sleeper, "sleep", span * 4)
+    sim.run_until(0.0)
+    assert list(sim.pending()) == [(10.0, "near"), (span * 4, "far")]
 
-    far.cancel()
-    assert [e.time for e in sim.pending()] == [10.0]
-    near.cancel()
+    sim.run_until(10.0)
+    assert list(sim.pending()) == [(span * 4, "far")]
+    sim.run_until(span * 4)
     assert list(sim.pending()) == []
+    assert sleeper.fired == [10.0, span * 4]
 
 
 def test_fast_forward_carries_far_heap_events():
-    fired = []
     sim = Simulator()
     span = 4096.0
-    sim.schedule(span * 4, lambda s: fired.append(s.now))
+    sleeper = _Sleeper(sim)
+    sim.spawn_restartable("far", sleeper, "sleep", span * 4)
+    sim.run_until(0.0)
     sim.fast_forward(span * 3)
-    assert [e.time for e in sim.pending()] == [span * 7]
+    assert list(sim.pending()) == [(span * 7, "far")]
     sim.run_until(span * 8)
-    assert fired == [span * 7]
+    assert sleeper.fired == [span * 7]
 
 
 class _SnapshottingPair:

@@ -1,77 +1,105 @@
-"""Tests for the mid-level cache model."""
+"""Tests for the mid-level cache model.
+
+Fills, hits and evictions are driven through
+:meth:`CacheHierarchy.cpu_access` on a small geometry, since that is the
+only code that fills MLC sets and keeps their recency order."""
 
 import pytest
 
-from repro.cache.line import MlcLine
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.llc import LlcConfig
 from repro.cache.mlc import MidLevelCache
+from repro.rdt.cat import CacheAllocation
+from repro.telemetry.counters import CounterBank
+from repro.uncore.memory import MemoryController
 
 
 def make(sets=4, ways=2):
-    return MidLevelCache(core_id=0, sets=sets, ways=ways)
+    """A two-core hierarchy whose core-0 MLC has ``sets`` x ``ways``."""
+    bank = CounterBank()
+    cfg = HierarchyConfig(
+        cores=2, llc=LlcConfig(sets=8), mlc_sets=sets, mlc_ways=ways
+    )
+    return CacheHierarchy(cfg, CacheAllocation(), MemoryController(bank), bank)
+
+
+def read(hierarchy, *addrs, write=False):
+    for addr in addrs:
+        hierarchy.cpu_access(0.0, 0, addr, "s", write=write)
 
 
 def test_insert_and_lookup():
-    mlc = make()
-    mlc.insert(MlcLine(addr=4, stream="s"))
-    assert mlc.lookup(4) is not None
-    assert mlc.lookup(8) is None
+    hierarchy = make()
+    read(hierarchy, 4)
+    mlc = hierarchy.mlcs[0]
+    assert mlc.peek(4) is not None
+    assert mlc.peek(8) is None
+    read(hierarchy, 4)
+    assert hierarchy.counters.stream("s").mlc_hits == 1
 
 
 def test_capacity_and_occupancy():
-    mlc = make(sets=4, ways=2)
+    hierarchy = make(sets=4, ways=2)
+    mlc = hierarchy.mlcs[0]
     assert mlc.capacity_lines == 8
-    for addr in range(8):
-        mlc.insert(MlcLine(addr=addr, stream="s"))
+    read(hierarchy, *range(8))
     assert mlc.occupancy() == 8
 
 
 def test_eviction_is_lru_within_set():
-    mlc = make(sets=1, ways=2)
-    mlc.insert(MlcLine(addr=0, stream="s"))
-    mlc.insert(MlcLine(addr=1, stream="s"))
-    mlc.lookup(0)  # make addr 0 most-recent
-    victim = mlc.insert(MlcLine(addr=2, stream="s"))
-    assert victim is not None and victim.addr == 1
+    hierarchy = make(sets=1, ways=2)
+    read(hierarchy, 0, 1, 0)  # the hit makes addr 0 most-recent
+    read(hierarchy, 2)
+    mlc = hierarchy.mlcs[0]
+    assert mlc.peek(1) is None
+    assert mlc.peek(0) is not None and mlc.peek(2) is not None
+    # The victim falls back into the LLC.
+    assert hierarchy.llc.lookup(1, touch=False) is not None
 
 
 def test_conflict_only_within_same_set():
-    mlc = make(sets=4, ways=1)
-    assert mlc.insert(MlcLine(addr=0, stream="s")) is None
-    assert mlc.insert(MlcLine(addr=1, stream="s")) is None  # different set
-    victim = mlc.insert(MlcLine(addr=4, stream="s"))  # maps to set 0
-    assert victim is not None and victim.addr == 0
+    hierarchy = make(sets=4, ways=1)
+    mlc = hierarchy.mlcs[0]
+    read(hierarchy, 0, 1)  # different sets: no eviction
+    assert mlc.occupancy() == 2
+    read(hierarchy, 4)  # maps to set 0
+    assert mlc.peek(0) is None
+    assert mlc.peek(1) is not None and mlc.peek(4) is not None
 
 
-def test_double_insert_raises():
-    mlc = make()
-    mlc.insert(MlcLine(addr=3, stream="s"))
-    with pytest.raises(ValueError):
-        mlc.insert(MlcLine(addr=3, stream="s"))
+def test_double_access_fills_once():
+    hierarchy = make()
+    read(hierarchy, 3, 3)
+    mlc = hierarchy.mlcs[0]
+    assert mlc.occupancy() == 1
+    counters = hierarchy.counters.stream("s")
+    assert (counters.mlc_misses, counters.mlc_hits) == (1, 1)
 
 
 def test_invalidate_returns_line_and_removes():
-    mlc = make()
-    mlc.insert(MlcLine(addr=5, stream="s", dirty=True))
+    hierarchy = make()
+    read(hierarchy, 5, write=True)
+    mlc = hierarchy.mlcs[0]
     dropped = mlc.invalidate(5)
     assert dropped is not None and dropped.dirty
-    assert mlc.lookup(5) is None
+    assert mlc.peek(5) is None
     assert mlc.invalidate(5) is None
 
 
 def test_peek_does_not_touch_lru():
-    mlc = make(sets=1, ways=2)
-    mlc.insert(MlcLine(addr=0, stream="s"))
-    mlc.insert(MlcLine(addr=1, stream="s"))
+    hierarchy = make(sets=1, ways=2)
+    read(hierarchy, 0, 1)
+    mlc = hierarchy.mlcs[0]
     mlc.peek(0)  # must NOT refresh addr 0
-    victim = mlc.insert(MlcLine(addr=2, stream="s"))
-    assert victim.addr == 0
+    read(hierarchy, 2)
+    assert mlc.peek(0) is None
+    assert mlc.peek(1) is not None
 
 
 def test_resident_iterates_all():
-    mlc = make()
-    for addr in (0, 1, 2):
-        mlc.insert(MlcLine(addr=addr, stream="s"))
-    assert sorted(line.addr for line in mlc.resident()) == [0, 1, 2]
+    hierarchy = make()
+    read(hierarchy, 0, 1, 2)
+    assert sorted(line.addr for line in hierarchy.mlcs[0].resident()) == [0, 1, 2]
 
 
 def test_invalid_geometry_rejected():

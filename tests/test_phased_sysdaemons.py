@@ -19,6 +19,22 @@ def test_phase_validation():
         PhasedWorkload("p", profile, "LPW", active_cycles=0, idle_cycles=10)
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        AccessProfile(working_set_lines=100, pattern="stride"),
+        AccessProfile(working_set_lines=100, repeats=4),
+    ],
+    ids=["stride", "repeats"],
+)
+def test_profile_the_phase_loop_cannot_run_is_refused(profile):
+    """The phase loop has no stride walk and no per-line reuse, so a
+    profile asking for either must fail loudly rather than run as
+    something else."""
+    with pytest.raises(ValueError, match="phased workloads"):
+        PhasedWorkload("p", profile, "LPW", active_cycles=10, idle_cycles=10)
+
+
 def test_phased_workload_is_idle_between_bursts():
     server = Server(cores=2)
     profile = AccessProfile(working_set_lines=1000)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cache.line import LlcLine, MlcLine
 from repro.cache.sets import WaySet
-from repro.sim.engine import Simulator
 from repro.telemetry.counters import COUNTER_FIELDS, StreamCounters
 
 
@@ -83,9 +82,8 @@ def test_reinstall_after_remove():
         MlcLine(addr=1, stream="s"),
         LlcLine(addr=1, stream="s", way=0),
         WaySet(2),
-        Simulator().schedule(0.0, lambda sim: None),  # Event
     ],
-    ids=["MlcLine", "LlcLine", "WaySet", "Event"],
+    ids=["MlcLine", "LlcLine", "WaySet"],
 )
 def test_slotted_classes_reject_new_attributes(instance):
     with pytest.raises(AttributeError):
