@@ -206,6 +206,22 @@ def test_same_time_events_fire_in_spawn_order():
     assert [label for _, label, _ in program.trace] == list(range(32))
 
 
+def test_same_time_resumes_run_in_yield_order():
+    """Ties break by when each body yielded, not by when it was spawned."""
+    sim = Simulator()
+    program = _Program(sim)
+    program.spawn("proc", [(1.0, None), (2.0, None)])
+    program.spawn("proc", [(3.0, None)])
+    sim.run_until(3.0)
+    assert program.trace == [
+        ("resume", 0, 0.0),
+        ("resume", 1, 0.0),
+        ("resume", 0, 1.0),
+        ("exit", 1, 3.0),
+        ("exit", 0, 3.0),
+    ]
+
+
 def test_spawn_during_a_body_fires_in_same_run():
     sim = Simulator()
     program = _Program(sim)
