@@ -139,10 +139,11 @@ def check_invariants(hierarchy):
     its own address; every MLC and snoop-filter record is keyed by its own
     address; no record is reachable from two places — the failure mode of
     reusing an evicted record that is still referenced; and holder masks
-    are consistent: each core an LLC line or directory entry lists really
-    holds the line in its MLC, an LLC line's holders are a subset of its
-    directory entry's, a directory entry never holds 0 and a parked record
-    holds 0.
+    are consistent: each core a directory entry lists really holds the
+    line in its MLC, an LLC line's holders equal its directory entry's (0
+    when the directory does not track it), an entry is pinned exactly when
+    its address is LLC-resident, a directory entry never holds 0 and a
+    parked record holds 0.
     """
     seen = set()
     sf = hierarchy.sf
@@ -161,16 +162,11 @@ def check_invariants(hierarchy):
             assert line.way == way
             assert index[line.addr] is slots[line.way]
             once(line, f"llc {line.addr:#x}")
-            if line.holders:
-                entry = sf.entry(line.addr)
-                assert entry is not None
-                assert line.holders & ~entry.holders == 0, (
-                    f"llc {line.addr:#x} holders not tracked"
-                )
-            for core in holder_cores(line.holders):
-                assert mlcs[core].peek(line.addr) is not None, (
-                    f"llc {line.addr:#x} holder {core} lacks the line"
-                )
+            entry = sf.entry(line.addr)
+            tracked = 0 if entry is None else entry.holders
+            assert line.holders == tracked, (
+                f"llc {line.addr:#x} holders differ from the directory's"
+            )
     for mlc in mlcs:
         for bucket in mlc._sets:
             for addr, line in bucket.items():
@@ -180,6 +176,10 @@ def check_invariants(hierarchy):
         for addr, entry in bucket.items():
             assert addr == entry.addr
             assert entry.holders != 0, f"sf {addr:#x} has no holders"
+            resident = hierarchy.llc.lookup(addr, touch=False) is not None
+            assert entry.inclusive == resident, (
+                f"sf {addr:#x} pinned={entry.inclusive}, resident={resident}"
+            )
             once(entry, f"sf {addr:#x}")
             for core in holder_cores(entry.holders):
                 assert mlcs[core].peek(addr) is not None, (
