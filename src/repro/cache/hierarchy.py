@@ -22,6 +22,12 @@ movement rules the paper's contentions emerge from:
 * **Egress read-allocate** — device reads of MLC-only lines copy them into
   the inclusive ways; uncached lines are read from memory without
   allocation.
+
+Who holds a line is recorded once: the extended directory maps each
+MLC-resident address to its holder mask.  An LLC line's holders are that
+mask, and a directory entry is pinned exactly when its address is
+LLC-resident; both are read off the two structures, never stored, so no
+transition has copies to keep in step.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.cache.directory import DirectoryEntry, SnoopFilter
+from repro.cache.directory import SnoopFilter
 from repro.cache.line import LlcLine, MlcLine, holder_cores
 from repro.cache.llc import LastLevelCache, LlcConfig
 from repro.cache.mlc import MidLevelCache
@@ -142,7 +148,6 @@ class CacheHierarchy:
         "_sf_nsets",
         "_sf_ways",
         "_mlc_ways",
-        "_spare_entry",
         "_spare_lines",
         "_writebacks",
     )
@@ -191,17 +196,16 @@ class CacheHierarchy:
         self._llc_nsets = self.llc._nsets
         self._sf_sets = self.sf._sets
         self._sf_nsets = self.sf.sets
+        # The directory shares the LLC's set index: an LLC set's lines and
+        # their holder masks live in the same-numbered sets.
         self._sf_ways = self.sf.ways
         self._mlc_ways = cfg.mlc_ways
-        self._spare_entry: Optional[DirectoryEntry] = None
-        # A directory entry the last MLC eviction freed, reused by the
-        # next fill that needs a new one (see _fill_mlc).
         self._spare_lines: list[LlcLine] = []
-        # Likewise the LLC records that left the cache (LRU fast path
-        # only: their policy metadata is empty, their holders cleared),
-        # reused by the next DMA allocates or MLC-victim fills that need a
-        # record.  Each one left a hole that such a fill refills, so the
-        # list stays as small as the cache's holes.
+        # The LLC records that left the cache (LRU fast path only: their
+        # policy metadata is empty), reused by the next DMA allocates or
+        # MLC-victim fills that need a record.  Each one left a hole that
+        # such a fill refills, so the list stays as small as the cache's
+        # holes.
         self._writebacks: dict[str, int] = {}
         # Memory write lines per stream that the current DMA call owes;
         # empty between calls (see dma_write_burst).
@@ -249,7 +253,6 @@ class CacheHierarchy:
                 # A store hit in an MLC invalidates any (now stale) LLC copy.
                 llc_line = self._llc_sets[addr % self._llc_nsets].index.get(addr)
                 if llc_line is not None:
-                    self._detach_llc_line(llc_line)
                     self.llc.remove(llc_line)
             return self._mlc_hit_cycles
 
@@ -274,14 +277,12 @@ class CacheHierarchy:
                 # RFO: the MLC takes exclusive ownership; the LLC copy dies.
                 dirty = True
                 io_flag = llc_line.io
-                self._detach_llc_line(llc_line)
                 self.llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty, io_flag, None, bucket)
+                self._fill_mlc(now, core, addr, stream, dirty, io_flag, bucket)
             elif llc_line.io and self._self_invalidate_consumed:
                 # IDIO/Sweeper baseline: the consumed copy self-invalidates.
-                self._detach_llc_line(llc_line)
                 self.llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, False, True, None, bucket)
+                self._fill_mlc(now, core, addr, stream, False, True, bucket)
             elif llc_line.io:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
@@ -336,30 +337,24 @@ class CacheHierarchy:
                                 self.counters.stream(vstream)
                             )
                         vcounters.llc_evictions_suffered += 1
-                        vholders = victim.holders
+                        vaddr = victim.addr
+                        vholders = self._sf_sets[vaddr % self._sf_nsets].get(vaddr)
                         if vholders:
                             vcounters.inclusive_downgrades += 1
-                            vaddr = victim.addr
                             if victim.dirty:
                                 self._mark_holder_dirty(vaddr, vholders)
-                            entry = self._sf_sets[vaddr % self._sf_nsets].get(vaddr)
-                            if entry is not None:
-                                entry.inclusive = False
-                            victim.holders = 0
                         else:
                             if victim.io and not victim.consumed:
                                 vcounters.dma_leaks += 1
                             if victim.dirty:
                                 self.memory.write(now, 1, vstream)
                         self._spare_lines.append(victim)
-                self._fill_mlc(now, core, addr, stream, False, True, llc_line, bucket)
+                self._fill_mlc(now, core, addr, stream, False, True, bucket)
             else:
                 # Regular non-inclusive victim-cache hit: the line transfers
                 # to the reader's MLC and the LLC copy is invalidated.
                 # Inlined LastLevelCache.remove; on the LRU fast path the
                 # now unreferenced record waits for _fill_mlc to reuse it.
-                if llc_line.holders:
-                    self._detach_llc_line(llc_line)
                 slots = wayset.slots
                 if slots[llc_line.way] is not llc_line:
                     raise ValueError("line is not resident where it claims to be")
@@ -367,18 +362,17 @@ class CacheHierarchy:
                 del wayset.index[addr]
                 if lru_tick is not None:
                     self._spare_lines.append(llc_line)
-                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, None, bucket)
+                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, bucket)
             return self._llc_hit_cycles
 
-        entry = self._sf_sets[addr % self._sf_nsets].get(addr)
-        if entry is not None and entry.holders:
+        if addr in self._sf_sets[addr % self._sf_nsets]:
             # MLC-only line held by a peer core: serve via a snoop.
             counters.llc_hits += 1
             if write:
-                self._invalidate_peers(now, addr, None)
-                self._fill_mlc(now, core, addr, stream, True, False, None, bucket)
+                self._invalidate_peers(now, addr)
+                self._fill_mlc(now, core, addr, stream, True, False, bucket)
             else:
-                self._fill_mlc(now, core, addr, stream, False, False, None, bucket)
+                self._fill_mlc(now, core, addr, stream, False, False, bucket)
             return self._snoop_hit_cycles
 
         # Full miss: fill the MLC straight from memory (non-inclusive).
@@ -390,7 +384,7 @@ class CacheHierarchy:
         if mba is not None and mba.factors:
             # Only while some CLOS is throttled: unthrottled is a ×1.0.
             latency *= mba.latency_factor(self.cat.clos_of(core))
-        self._fill_mlc(now, core, addr, stream, write, io_read, None, bucket)
+        self._fill_mlc(now, core, addr, stream, write, io_read, bucket)
         if self._next_line_prefetch and not io_read:
             self._prefetch(now, core, addr + 1, stream)
         return latency
@@ -406,7 +400,7 @@ class CacheHierarchy:
         counters = self._stream(stream)
         counters.prefetch_fills += 1
         self.memory.read(now, 1, stream)
-        self._fill_mlc(now, core, addr, stream, False, False, None, bucket)
+        self._fill_mlc(now, core, addr, stream, False, False, bucket)
 
     def cpu_access_run(
         self,
@@ -488,7 +482,7 @@ class CacheHierarchy:
         and every replacement policy run through it.  ``more``, an
         iterator of further ``(base_addr, lines, stream)`` spans written
         at the same ``now``, carries the loop on through them
-        (:meth:`dma_write_multi`'s memory flow).  Two savings keep it
+        (:meth:`dma_write_multi`).  Two savings keep it
         cheap, both exact:
 
         * a dead LLC record is never thrown away — an allocation's victim
@@ -524,11 +518,11 @@ class CacheHierarchy:
             for addr in range(base_addr, base_addr + lines):
                 # The device takes ownership: cached CPU copies become stale.
                 # (Untracked addresses — the common case for fresh buffers —
-                # skip the full peer walk; an LLC line's holders are a subset
-                # of its directory entry's, so they are 0 either way after
-                # this.)
-                if sf_sets[addr % sf_nsets].get(addr) is not None:
-                    self._invalidate_peers(now, addr, None, True)
+                # skip the peer walk.)  ``sf_bucket`` also holds the holder
+                # masks of every line of ``addr``'s LLC set.
+                sf_bucket = sf_sets[addr % sf_nsets]
+                if addr in sf_bucket:
+                    self._invalidate_peers(now, addr, True)
                 wayset = llc_sets[addr % llc_nsets]
                 llc_line = wayset.index.get(addr)
                 if llc_line is not None:
@@ -564,6 +558,7 @@ class CacheHierarchy:
                     _, victim = llc.allocate(addr, stream, dca_ways, True, True, False)
                     if victim is None:
                         continue
+                    held = victim.addr in sf_bucket
                 else:
                     # Inlined LastLevelCache.allocate (LRU fast path); the
                     # lookup above proved ``addr`` is not resident.
@@ -580,9 +575,12 @@ class CacheHierarchy:
                     if way < 0:
                         raise ValueError("no candidate ways for victim selection")
                     victim = slots[way]
-                    if victim is not None:
+                    if victim is None:
+                        held = False
+                    else:
                         del index[victim.addr]
-                    if victim is None or victim.holders:
+                        held = victim.addr in sf_bucket
+                    if victim is None or held:
                         if not spares:
                             line = LlcLine(addr, stream, way, True, True, False)
                         else:
@@ -598,11 +596,10 @@ class CacheHierarchy:
                         index[addr] = line
                         if victim is None:
                             continue
-                if victim.holders:
+                if held:
                     # An inclusive victim only loses its LLC data copy.
                     self._dispose_victim(now, victim)
                     if lru_tick is not None:
-                        victim.holders = 0
                         spares.append(victim)
                     continue
                 # Inlined _dispose_victim, no-holders case, its write-back
@@ -646,17 +643,14 @@ class CacheHierarchy:
         issued at the same timestamp; equivalent to one
         :meth:`dma_write_burst` per span, in order.  Devices that fan one
         service quantum across many buffers (the NVMe transfer engine) use
-        this.  A non-allocating quantum runs the loop over every span and
-        then issues one memory write per stream for the whole call."""
-        if allocating:
-            for base_addr, lines, stream in spans:
-                self.dma_write_burst(now, base_addr, lines, stream, True)
-            return
+        this.  Either flow runs the loop over every span and then issues
+        one memory write per stream for the whole call."""
         if spans:
             more = iter(spans)
             base_addr, lines, stream = next(more)
-            self._write_lines(now, base_addr, lines, stream, False, more)
-            self._flush_writebacks(now)
+            self._write_lines(now, base_addr, lines, stream, allocating, more)
+            if self._writebacks:
+                self._flush_writebacks(now)
 
     def _flush_writebacks(self, now: float) -> None:
         """Issue the memory writes the DMA loop summed, one per stream."""
@@ -675,22 +669,20 @@ class CacheHierarchy:
         if llc_line is not None:
             return  # served directly from the LLC
 
-        entry = self.sf.entry(addr)
-        if entry is not None and entry.holders:
-            # MLC-only data: read-allocate a copy into the inclusive ways.
-            holders = entry.holders
+        holders = self.sf.holders(addr)
+        if holders:
+            # MLC-only data: read-allocate a copy into the inclusive ways,
+            # which pins the line's directory entry.
             mlc_line = self.mlcs[(holders & -holders).bit_length() - 1].peek(addr)
             dirty = bool(mlc_line and mlc_line.dirty)
             owner_stream = mlc_line.stream if mlc_line else stream
-            new_line, victim = self.llc.allocate(
+            _, victim = self.llc.allocate(
                 addr,
                 owner_stream,
                 self.cfg.llc.inclusive_ways,
                 dirty=dirty,
                 io=False,
             )
-            new_line.holders = holders
-            self.sf.set_inclusive(addr, True)
             if mlc_line is not None:
                 mlc_line.dirty = False
             if victim is not None:
@@ -721,28 +713,27 @@ class CacheHierarchy:
         stream: str,
         dirty: bool,
         io: bool,
-        llc_line: Optional[LlcLine],
         bucket: dict,
     ) -> None:
-        """Install ``addr`` into ``core``'s MLC, track it in the extended
-        directory, and push the MLC's victim (if any) down into the LLC.
+        """Install ``addr`` into ``core``'s MLC, add ``core`` to its holder
+        mask in the extended directory, and push the MLC's victim (if any)
+        down into the LLC.
 
-        ``llc_line`` is the line's current LLC copy and ``bucket`` the MLC
-        set ``addr`` maps to, which must not hold it — callers always know
-        both (they just looked ``addr`` up), so passing them here saves
-        the lookups.
+        ``bucket`` is the MLC set ``addr`` maps to, which must not hold it
+        — callers always know it (they just looked ``addr`` up), so
+        passing it here saves the lookup.  A directory set that overflows
+        evicts its least recent address that is not pinned (not
+        LLC-resident) and back-invalidates its holders.
 
         Victim-cache behaviour: an evicted MLC line allocates into the LLC
         within the evicting core's CAT mask (unless already resident).
         Nearly every CPU access of an I/O-heavy mix lands here, so dead
         records are recycled rather than rebuilt: the MLC victim's record
-        becomes the new MLC line once its fields are read, a directory
-        entry freed by the eviction is kept in one spare slot for the next
-        fill, and on the LRU fast path an LLC victim with no holders (hence
-        unreferenced, with empty policy metadata) becomes the new LLC line;
-        failing that, so does a dead record waiting in ``_spare_lines``.
-        Callers pass every argument positionally (this runs once per MLC
-        miss).
+        becomes the new MLC line once its fields are read, and on the LRU
+        fast path an LLC victim with no holders (hence unreferenced, with
+        empty policy metadata) becomes the new LLC line; failing that, so
+        does a dead record waiting in ``_spare_lines``.  Callers pass every
+        argument positionally (this runs once per MLC miss).
         """
         if len(bucket) >= self._mlc_ways:
             # MLC sets are kept in recency order: the first key is LRU.
@@ -759,72 +750,55 @@ class CacheHierarchy:
             victim_addr = None
             line = MlcLine(addr, stream, dirty, io)
         bucket[addr] = line
-        # Track the new holder in the extended directory: a fresh MLC
-        # holder is the common case (buffers are per-core), so build the
-        # entry here; an existing entry just gains a holder.
+        # Track the new holder in the extended directory.  Directory sets
+        # are kept in recency order, like MLC sets: an address that gains
+        # a holder moves to the end.
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
         bit = 1 << core
         sf_bucket = sf_sets[addr % sf_nsets]
-        entry = sf_bucket.get(addr)
-        if entry is None:
-            evicted_entry = None
-            if len(sf_bucket) >= self._sf_ways:
-                sf = self.sf
-                evicted_entry = sf._choose_victim(sf_bucket)
-                del sf_bucket[evicted_entry.addr]
-                sf.back_invalidations += 1
-            entry = self._spare_entry
-            if entry is None:
-                entry = DirectoryEntry(addr, bit, llc_line is not None)
-            else:
-                self._spare_entry = None
-                entry.addr = addr
-                entry.holders = bit
-                entry.inclusive = llc_line is not None
-            sf_bucket[addr] = entry
-            if evicted_entry is not None:
-                self._back_invalidate(now, evicted_entry)
+        holders = sf_bucket.pop(addr, 0)
+        if holders:
+            sf_bucket[addr] = holders | bit
+        elif len(sf_bucket) < self._sf_ways:
+            sf_bucket[addr] = bit
         else:
-            entry.holders |= bit
-            if llc_line is not None:
-                entry.inclusive = True
-            # Directory sets are kept in recency order, like MLC sets.
-            del sf_bucket[addr]
-            sf_bucket[addr] = entry
-        if llc_line is not None:
-            llc_line.holders |= bit
+            # Overflow: evict the least recent address that is not pinned
+            # (not LLC-resident).  One exists unless the geometry is
+            # misused.
+            resident = self._llc_sets[addr % self._llc_nsets].index
+            for evicted in sf_bucket:
+                if evicted not in resident:
+                    break
+            else:
+                raise RuntimeError("snoop filter set has no evictable entry")
+            evicted_holders = sf_bucket.pop(evicted)
+            self.sf.back_invalidations += 1
+            sf_bucket[addr] = bit
+            self._back_invalidate(now, evicted, evicted_holders)
         if victim_addr is None:
             return
 
-        # The MLC victim leaves (``addr`` names it from here on): inlined
-        # SnoopFilter.drop_holder, keeping ``entry`` for the peer-holder
-        # check below.
+        # The MLC victim leaves (``addr`` names it from here on): ``core``
+        # drops out of its holder mask.  (Its address may be untracked
+        # already, if the overflow above evicted it.)
         addr = victim_addr
         sf_bucket = sf_sets[addr % sf_nsets]
-        entry = sf_bucket.get(addr)
-        if entry is not None:
-            holders = entry.holders & ~bit
-            entry.holders = holders
-            if not holders:
-                del sf_bucket[addr]
-                self._spare_entry = entry
-                entry = None
+        holders = sf_bucket.get(addr, 0) & ~bit
+        if holders:
+            sf_bucket[addr] = holders
+        else:
+            sf_bucket.pop(addr, None)
         wayset = self._llc_sets[addr % self._llc_nsets]
         index = wayset.index
         llc_line = index.get(addr)
         if llc_line is not None:
-            lholders = llc_line.holders & ~bit
-            llc_line.holders = lholders
-            if not lholders and entry is not None:
-                entry.inclusive = False
             # Was inclusive: the LLC copy absorbs the eviction.
             llc_line.dirty = llc_line.dirty or vdirty
             return
 
-        if entry is not None:
-            # A peer MLC still holds the line (a tracked entry never holds
-            # 0): silent drop of this copy.
+        if holders:
+            # A peer MLC still holds the line: silent drop of this copy.
             if vdirty:
                 self._mark_holder_dirty(addr, holders)
             return
@@ -870,7 +844,7 @@ class CacheHierarchy:
         victim = slots[way]
         if victim is not None:
             del index[victim.addr]
-            if not victim.holders:
+            if victim.addr not in sf_bucket:
                 # Inlined _dispose_victim, no-holders case (the common one
                 # for standard-way victims); the dead record then becomes
                 # the new line.
@@ -908,7 +882,6 @@ class CacheHierarchy:
         if victim is not None:
             # An inclusive victim: accounted for, then parked for reuse.
             self._dispose_victim(now, victim)
-            victim.holders = 0
             spares.append(victim)
 
     def _dispose_victim(self, now: float, victim: LlcLine) -> None:
@@ -918,17 +891,14 @@ class CacheHierarchy:
         if counters is None:
             counters = self._scounters[stream] = self.counters.stream(stream)
         counters.llc_evictions_suffered += 1
-        if victim.holders:
+        addr = victim.addr
+        holders = self._sf_sets[addr % self._sf_nsets].get(addr)
+        if holders:
             # Inclusive line losing only its LLC data copy: the MLC copies
-            # live on, tracked by extended directory entries instead.
+            # live on, their directory entry no longer pinned.
             counters.inclusive_downgrades += 1
-            addr = victim.addr
             if victim.dirty:
-                self._mark_holder_dirty(addr, victim.holders)
-            sf = self.sf
-            entry = sf._sets[addr % sf.sets].get(addr)
-            if entry is not None:
-                entry.inclusive = False
+                self._mark_holder_dirty(addr, holders)
             return
         if victim.io and not victim.consumed:
             counters.dma_leaks += 1
@@ -942,57 +912,22 @@ class CacheHierarchy:
         if line is not None:
             line.dirty = True
 
-    def _detach_llc_line(self, llc_line: LlcLine) -> None:
-        """Prepare an LLC line for removal: release directory coupling."""
-        if llc_line.holders:
-            sf = self.sf
-            addr = llc_line.addr
-            entry = sf._sets[addr % sf.sets].get(addr)
-            if entry is not None:
-                entry.inclusive = False
-            llc_line.holders = 0
+    def _invalidate_peers(self, now: float, addr: int, silent: bool = False) -> None:
+        """Invalidate every MLC copy of ``addr`` and stop tracking it.
 
-    def _invalidate_peers(
-        self,
-        now: float,
-        addr: int,
-        keep_core: Optional[int],
-        silent: bool = False,
-    ) -> bool:
-        """Invalidate MLC copies of ``addr`` (except ``keep_core``'s).
-
-        Returns True when a dirty copy was dropped.  ``silent`` suppresses
-        the write-back (used for DMA writes that overwrite the data anyway).
+        ``silent`` suppresses the write-back of dirty copies (used for DMA
+        writes that overwrite the data anyway).
         """
-        sf = self.sf
-        entry = sf._sets[addr % sf.sets].get(addr)
-        if entry is None:
-            return False
-        dirty_dropped = False
-        for core in holder_cores(entry.holders):
-            if core == keep_core:
-                continue
+        holders = self._sf_sets[addr % self._sf_nsets].pop(addr, 0)
+        for core in holder_cores(holders):
             dropped = self.mlcs[core].invalidate(addr)
-            sf.drop_holder(addr, core)
-            if dropped is not None and dropped.dirty:
-                dirty_dropped = True
-                if not silent:
-                    self.memory.write(now, 1, dropped.stream)
-        llc = self.llc
-        llc_line = llc._sets[addr % llc._nsets].index.get(addr)
-        if llc_line is not None:
-            if keep_core is None:
-                llc_line.holders = 0
-            else:
-                llc_line.holders &= 1 << keep_core
-            if not llc_line.holders:
-                self.sf.set_inclusive(addr, False)
-        return dirty_dropped
+            if dropped is not None and dropped.dirty and not silent:
+                self.memory.write(now, 1, dropped.stream)
 
-    def _back_invalidate(self, now: float, entry) -> None:
+    def _back_invalidate(self, now: float, addr: int, holders: int) -> None:
         """An extended-directory eviction forces MLC copies out."""
-        for core in holder_cores(entry.holders):
-            dropped = self.mlcs[core].invalidate(entry.addr)
+        for core in holder_cores(holders):
+            dropped = self.mlcs[core].invalidate(addr)
             if dropped is not None:
                 self._stream(dropped.stream).back_invalidations += 1
                 if dropped.dirty:

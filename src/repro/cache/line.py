@@ -7,16 +7,18 @@ bits the paper's contentions hinge on:
 * ``consumed``      — an ``io`` line that a CPU core has since read.  An
   *unconsumed* ``io`` line evicted from the LLC is a **DMA leak**;
 * ``dirty``         — holds data newer than memory;
-* LLC lines also know which way they occupy, whether they are
-  **LLC-inclusive** (also resident in some MLC — such lines may only occupy
-  the two inclusive ways), and which stream (workload) allocated them, for
-  attribution of evictions and leaks.
+* LLC lines also know which way they occupy and which stream (workload)
+  allocated them, for attribution of evictions and leaks.
 
 Which MLCs hold a line is a *holder mask*: an ``int`` with bit ``c`` set
 for each core ``c`` (``holders |= 1 << core`` to add one, ``&= ~(1 <<
-core)`` to drop one, ``0`` for none); :func:`holder_cores` lists them.  An
-MLC line carries no recency stamp: each MLC set is kept in recency order
-(see :mod:`repro.cache.mlc`).
+core)`` to drop one, ``0`` for none); :func:`holder_cores` lists them.
+Lines do not carry it: the extended directory maps each MLC-resident
+address to its mask (see :mod:`repro.cache.directory`), so an LLC line's
+holders are its address's mask there, and the line is **LLC-inclusive**
+(also resident in some MLC — such lines may only occupy the two inclusive
+ways) exactly when that mask is non-zero.  An MLC line carries no recency
+stamp: each MLC set is kept in recency order (see :mod:`repro.cache.mlc`).
 
 Both classes are plain ``__slots__`` records rather than dataclasses:
 millions of them are allocated per run, and the closed attribute set plus
@@ -74,7 +76,6 @@ class LlcLine:
         "io",
         "consumed",
         "lru",
-        "holders",
         "meta",
     )
 
@@ -87,7 +88,6 @@ class LlcLine:
         io: bool = False,
         consumed: bool = False,
         lru: int = 0,
-        holders: int = 0,
         meta: Optional[Dict[str, int]] = None,
     ):
         self.addr = addr
@@ -97,20 +97,12 @@ class LlcLine:
         self.io = io
         self.consumed = consumed
         self.lru = lru
-        self.holders = holders
-        """Mask of the cores whose MLC also holds this line (non-zero =>
-        LLC-inclusive)."""
         self.meta: Dict[str, int] = {} if meta is None else meta
         """Replacement-policy metadata (e.g. the RRIP re-reference value)."""
-
-    @property
-    def inclusive(self) -> bool:
-        """True when the line is resident in both the LLC and some MLC."""
-        return self.holders != 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LlcLine(addr={self.addr:#x}, stream={self.stream!r}, "
             f"way={self.way}, dirty={self.dirty}, io={self.io}, "
-            f"consumed={self.consumed}, holders={holder_cores(self.holders)})"
+            f"consumed={self.consumed})"
         )

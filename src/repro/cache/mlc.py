@@ -10,12 +10,12 @@ so the first key is always the least recently used line and picking a
 victim needs no scan.  Lines carry no recency stamp.  Fills and hits are
 :class:`~repro.cache.hierarchy.CacheHierarchy`'s job (``cpu_access`` and
 ``_fill_mlc`` work on the set dicts directly); this class holds the sets
-and answers inspection and invalidation.
+and answers peeks and invalidation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.cache.line import MlcLine
 from repro.platform import DEFAULT_PLATFORM
@@ -39,10 +39,6 @@ class MidLevelCache:
         self.ways = ways
         self._sets: list[dict[int, MlcLine]] = [dict() for _ in range(sets)]
 
-    @property
-    def capacity_lines(self) -> int:
-        return self.sets * self.ways
-
     def peek(self, addr: int) -> Optional[MlcLine]:
         """Lookup without perturbing LRU (for inspection and invalidation)."""
         return self._sets[addr % self.sets].get(addr)
@@ -50,10 +46,3 @@ class MidLevelCache:
     def invalidate(self, addr: int) -> Optional[MlcLine]:
         """Drop ``addr`` if resident, returning the dropped line."""
         return self._sets[addr % self.sets].pop(addr, None)
-
-    def resident(self) -> Iterable[MlcLine]:
-        for bucket in self._sets:
-            yield from bucket.values()
-
-    def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)

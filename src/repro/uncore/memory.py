@@ -26,8 +26,6 @@ class MemoryController:
         "_window_lines",
         "_utilization",
         "_latency",
-        "total_reads",
-        "total_writes",
     )
 
     def __init__(
@@ -49,8 +47,6 @@ class MemoryController:
         self._utilization = 0.0
         self._latency = self._latency_at(0.0)
         # ^ access_latency(), recomputed whenever the utilisation moves.
-        self.total_reads = 0
-        self.total_writes = 0
 
     @classmethod
     def for_platform(
@@ -69,7 +65,6 @@ class MemoryController:
     def read(self, now: float, lines: int, stream: str) -> float:
         """Account a read of ``lines``; returns :meth:`access_latency` as
         it stands after the read (a CPU miss's memory latency)."""
-        self.total_reads += lines
         counters = self._scounters.get(stream)
         if counters is None:
             counters = self._scounters[stream] = self.counters.stream(stream)
@@ -80,7 +75,6 @@ class MemoryController:
         return self._latency
 
     def write(self, now: float, lines: int, stream: str) -> None:
-        self.total_writes += lines
         counters = self._scounters.get(stream)
         if counters is None:
             counters = self._scounters[stream] = self.counters.stream(stream)

@@ -67,6 +67,8 @@ def build_hierarchy(spec, llc_overrides=None, **cfg_overrides):
 
 
 def llc_state(hierarchy):
+    """Every LLC line with its holders: its address's directory mask."""
+    holders = hierarchy.sf.holders
     return sorted(
         (
             line.addr,
@@ -76,7 +78,7 @@ def llc_state(hierarchy):
             line.io,
             line.consumed,
             line.lru,
-            tuple(holder_cores(line.holders)),
+            tuple(holder_cores(holders(line.addr))),
         )
         for line in hierarchy.llc.resident()
     )
@@ -97,20 +99,27 @@ def mlc_state(hierarchy):
 
 def sf_state(hierarchy):
     """Every directory set's entries in key order, which is recency order
-    (the order its LRU eviction walks)."""
+    (the order its LRU eviction walks), each with its holders and whether
+    it is pinned (its address is LLC-resident)."""
+    llc = hierarchy.llc
     return [
         [
-            (entry.addr, tuple(holder_cores(entry.holders)), entry.inclusive)
-            for entry in bucket.values()
+            (
+                addr,
+                tuple(holder_cores(holders)),
+                llc.lookup(addr, touch=False) is not None,
+            )
+            for addr, holders in bucket.items()
         ]
         for bucket in hierarchy.sf._sets
     ]
 
 
 def memory_state(memory):
+    streams = memory.counters.streams.values()
     return (
-        memory.total_reads,
-        memory.total_writes,
+        sum(counters.mem_reads for counters in streams),
+        sum(counters.mem_writes for counters in streams),
         memory._window_start,
         memory._window_lines,
         memory._utilization,
@@ -136,14 +145,14 @@ def check_invariants(hierarchy):
     """Structural invariants that must hold between any two operations.
 
     Every LLC line sits in the slot its ``way`` names and is indexed under
-    its own address; every MLC and snoop-filter record is keyed by its own
-    address; no record is reachable from two places — the failure mode of
-    reusing an evicted record that is still referenced; and holder masks
-    are consistent: each core a directory entry lists really holds the
-    line in its MLC, an LLC line's holders equal its directory entry's (0
-    when the directory does not track it), an entry is pinned exactly when
-    its address is LLC-resident, a directory entry never holds 0 and a
-    parked record holds 0.
+    its own address; every MLC record is keyed by its own address; no
+    line record is reachable from two places — the failure mode of
+    reusing an evicted record that is still referenced; and the directory
+    agrees with the MLCs: each core a holder mask lists really holds the
+    line in its MLC, every MLC line is tracked, and no tracked address
+    maps to 0.  (An LLC line's holders are its address's mask, and an
+    entry is pinned exactly when its address is LLC-resident: both are
+    read off, not stored.)
     """
     seen = set()
     sf = hierarchy.sf
@@ -162,26 +171,19 @@ def check_invariants(hierarchy):
             assert line.way == way
             assert index[line.addr] is slots[line.way]
             once(line, f"llc {line.addr:#x}")
-            entry = sf.entry(line.addr)
-            tracked = 0 if entry is None else entry.holders
-            assert line.holders == tracked, (
-                f"llc {line.addr:#x} holders differ from the directory's"
-            )
     for mlc in mlcs:
         for bucket in mlc._sets:
             for addr, line in bucket.items():
                 assert addr == line.addr
+                assert sf.holders(addr) & (1 << mlc.core_id), (
+                    f"mlc{mlc.core_id} {addr:#x} untracked"
+                )
                 once(line, f"mlc{mlc.core_id} {addr:#x}")
-    for bucket in sf._sets:
-        for addr, entry in bucket.items():
-            assert addr == entry.addr
-            assert entry.holders != 0, f"sf {addr:#x} has no holders"
-            resident = hierarchy.llc.lookup(addr, touch=False) is not None
-            assert entry.inclusive == resident, (
-                f"sf {addr:#x} pinned={entry.inclusive}, resident={resident}"
-            )
-            once(entry, f"sf {addr:#x}")
-            for core in holder_cores(entry.holders):
+    for number, bucket in enumerate(sf._sets):
+        for addr, holders in bucket.items():
+            assert addr % sf.sets == number
+            assert holders != 0, f"sf {addr:#x} has no holders"
+            for core in holder_cores(holders):
                 assert mlcs[core].peek(addr) is not None, (
                     f"sf {addr:#x} holder {core} lacks the line"
                 )
@@ -194,7 +196,7 @@ def check_invariants(hierarchy):
         # every slot), no index and not parked twice, and clean.
         once(spare, "spare llc line")
         assert id(spare) not in indexed
-        assert spare.holders == 0 and not spare.meta
+        assert not spare.meta
 
 
 def nvme_spans(rng):

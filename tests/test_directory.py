@@ -2,8 +2,9 @@
 
 Entries are made by :meth:`CacheHierarchy.cpu_access` on a small
 geometry, since MLC fills are the only code that tracks a line: a plain
-miss makes a non-inclusive entry, and the first CPU read of a DMA-written
-line (which migrates into the inclusive ways) makes an inclusive one."""
+miss makes an entry, and the first CPU read of a DMA-written line (which
+migrates into the inclusive ways) makes one that is pinned, because its
+line is LLC-resident."""
 
 import pytest
 
@@ -35,6 +36,11 @@ def read(hierarchy, core, *addrs):
         hierarchy.cpu_access(0.0, core, addr, "s")
 
 
+def pinned(hierarchy, addr):
+    """An entry is pinned exactly when its line is LLC-resident."""
+    return hierarchy.llc.lookup(addr, touch=False) is not None
+
+
 def read_dma_line(hierarchy, core, addr):
     """DMA-write ``addr`` into the LLC, then read it: the line migrates
     into the inclusive ways and its directory entry is pinned."""
@@ -45,27 +51,25 @@ def read_dma_line(hierarchy, core, addr):
 def test_track_and_entry():
     hierarchy = make()
     read(hierarchy, 1, 0)
-    entry = hierarchy.sf.entry(0)
-    assert entry is not None and holder_cores(entry.holders) == [1]
-    assert not entry.inclusive
+    assert holder_cores(hierarchy.sf.holders(0)) == [1]
+    assert not pinned(hierarchy, 0)
 
 
 def test_track_second_holder_merges():
     hierarchy = make()
     read_dma_line(hierarchy, 1, 0)
     read(hierarchy, 2, 0)
-    entry = hierarchy.sf.entry(0)
-    assert holder_cores(entry.holders) == [1, 2]
-    assert entry.inclusive
+    assert holder_cores(hierarchy.sf.holders(0)) == [1, 2]
+    assert pinned(hierarchy, 0)
 
 
 def test_overflow_evicts_lru_non_inclusive():
     hierarchy = make(sets=1, ways=2)
     sf = hierarchy.sf
     read(hierarchy, 0, 0, 1)
-    sf.entry(0)  # does not touch LRU; victim should still be addr 0
+    sf.holders(0)  # does not touch LRU; victim should still be addr 0
     read(hierarchy, 0, 2)
-    assert sf.entry(0) is None
+    assert sf.holders(0) == 0
     assert sf.back_invalidations == 1
     # The evicted entry's holder loses its MLC copy.
     assert hierarchy.mlcs[0].peek(0) is None
@@ -77,8 +81,8 @@ def test_gaining_a_holder_makes_an_entry_most_recent():
     read(hierarchy, 0, 0, 1)
     read(hierarchy, 1, 0)  # a peer snoop: addr 0 gains core 1
     read(hierarchy, 0, 2)
-    assert hierarchy.sf.entry(1) is None
-    assert holder_cores(hierarchy.sf.entry(0).holders) == [0, 1]
+    assert hierarchy.sf.holders(1) == 0
+    assert holder_cores(hierarchy.sf.holders(0)) == [0, 1]
     assert hierarchy.mlcs[0].peek(1) is None
 
 
@@ -87,8 +91,8 @@ def test_inclusive_entries_protected_from_eviction():
     read_dma_line(hierarchy, 0, 0)
     read(hierarchy, 0, 1, 2)
     sf = hierarchy.sf
-    assert sf.entry(1) is None  # the non-inclusive one
-    assert sf.entry(0).inclusive
+    assert sf.holders(1) == 0  # the non-pinned one
+    assert sf.holders(0) and pinned(hierarchy, 0)
 
 
 def test_all_inclusive_overflow_is_structural_error():
@@ -100,32 +104,31 @@ def test_all_inclusive_overflow_is_structural_error():
 
 
 def test_drop_holder_removes_entry_when_empty():
-    hierarchy = make(sets=1, ways=4)
+    """Each MLC eviction of a shared line drops one holder; the address
+    leaves the directory with its last holder."""
+    hierarchy = make(sets=1, ways=12)
     read(hierarchy, 0, 0)
     read(hierarchy, 1, 0)
     sf = hierarchy.sf
-    sf.drop_holder(0, 0)
-    assert holder_cores(sf.entry(0).holders) == [1]
-    sf.drop_holder(0, 1)
-    assert sf.entry(0) is None
-
-
-def test_set_inclusive_flag():
-    hierarchy = make(sets=1, ways=4)
-    read_dma_line(hierarchy, 0, 0)
-    sf = hierarchy.sf
-    assert sf.entry(0).inclusive
-    sf.set_inclusive(0, False)
-    assert not sf.entry(0).inclusive
-    sf.set_inclusive(99, True)  # unknown addr: silently ignored
+    read(hierarchy, 0, *range(1, 9))  # core 0's 8-way MLC evicts addr 0
+    assert hierarchy.mlcs[0].peek(0) is None
+    assert holder_cores(sf.holders(0)) == [1]
+    read(hierarchy, 1, *range(1, 9))
+    assert hierarchy.mlcs[1].peek(0) is None
+    assert 0 not in sf._sets[0]
 
 
 def test_remove():
+    """A DMA write takes ownership of a tracked line: every MLC copy is
+    invalidated and the address leaves the directory."""
     hierarchy = make(sets=1, ways=4)
     read(hierarchy, 0, 0)
+    read(hierarchy, 1, 0)
+    hierarchy.dma_write(1.0, 0, "nic", False)
     sf = hierarchy.sf
-    removed = sf.remove(0)
-    assert removed is not None and sf.entry(0) is None
+    assert 0 not in sf._sets[0] and sf.holders(0) == 0
+    assert hierarchy.mlcs[0].peek(0) is None
+    assert hierarchy.mlcs[1].peek(0) is None
 
 
 def test_geometry_guard():
@@ -137,5 +140,5 @@ def test_occupancy():
     hierarchy = make(sets=2, ways=4)
     read(hierarchy, 0, 0, 2)  # same set (2 % 2 == 0)
     sf = hierarchy.sf
-    assert sf.occupancy(0) == 2
-    assert sf.occupancy(1) == 0
+    assert list(sf._sets[0]) == [0, 2]
+    assert not sf._sets[1]

@@ -4,6 +4,11 @@ cache, RFOs, and cross-MLC snoops."""
 from repro.platform import SKYLAKE_SP
 
 
+def mlc_lines(hierarchy):
+    """One MLC's capacity in lines."""
+    return hierarchy.cfg.mlc_sets * hierarchy.cfg.mlc_ways
+
+
 def test_first_access_misses_to_memory(hierarchy, bank):
     latency = hierarchy.cpu_access(0.0, 0, 100, "s")
     c = bank.stream("s")
@@ -26,7 +31,7 @@ def test_second_access_hits_mlc(hierarchy, bank):
 
 
 def test_mlc_eviction_allocates_into_llc(hierarchy):
-    mlc_capacity = hierarchy.mlcs[0].capacity_lines
+    mlc_capacity = mlc_lines(hierarchy)
     for addr in range(mlc_capacity + 1):
         hierarchy.cpu_access(0.0, 0, addr, "s")
     # addr 0 was the LRU of its set and must now be in the LLC.
@@ -35,7 +40,7 @@ def test_mlc_eviction_allocates_into_llc(hierarchy):
 
 
 def test_llc_hit_transfers_line_back_to_mlc(hierarchy, bank):
-    mlc_capacity = hierarchy.mlcs[0].capacity_lines
+    mlc_capacity = mlc_lines(hierarchy)
     for addr in range(mlc_capacity + 1):
         hierarchy.cpu_access(0.0, 0, addr, "s")
     latency = hierarchy.cpu_access(1.0, 0, 0, "s")
@@ -49,7 +54,7 @@ def test_llc_hit_transfers_line_back_to_mlc(hierarchy, bank):
 def test_llc_fill_respects_cat_mask(hierarchy, cat):
     cat.set_mask(1, range(5, 7))
     cat.associate(0, 1)
-    for addr in range(hierarchy.mlcs[0].capacity_lines + 64):
+    for addr in range(mlc_lines(hierarchy) + 64):
         hierarchy.cpu_access(0.0, 0, addr, "s")
     ways = {line.way for line in hierarchy.llc.resident() if line.stream == "s"}
     assert ways <= {5, 6}
@@ -63,14 +68,14 @@ def test_store_marks_mlc_line_dirty(hierarchy):
 def test_dirty_eviction_writes_back_to_memory_eventually(hierarchy, bank):
     # Fill with dirty lines, then displace them through LLC and out.
     llc_lines = hierarchy.llc.cfg.sets * hierarchy.llc.cfg.ways
-    span = hierarchy.mlcs[0].capacity_lines + 2 * llc_lines
+    span = mlc_lines(hierarchy) + 2 * llc_lines
     for addr in range(0, span, 1):
         hierarchy.cpu_access(0.0, 0, addr, "s", write=True)
     assert bank.stream("s").mem_writes > 0
 
 
 def test_store_hit_invalidates_stale_llc_copy(hierarchy):
-    capacity = hierarchy.mlcs[0].capacity_lines
+    capacity = mlc_lines(hierarchy)
     for addr in range(capacity + 1):
         hierarchy.cpu_access(0.0, 0, addr, "s")
     # addr 0 in LLC; re-read brings it to MLC (LLC copy dropped for regular

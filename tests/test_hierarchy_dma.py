@@ -111,4 +111,4 @@ def test_dma_read_of_mlc_only_line_read_allocates_inclusive(hierarchy):
     line = hierarchy.llc.lookup(3002, touch=False)
     assert line is not None
     assert line.way in SKYLAKE_SP.inclusive_ways
-    assert 0 in holder_cores(line.holders)
+    assert 0 in holder_cores(hierarchy.sf.holders(3002))

@@ -15,12 +15,13 @@ def test_dma_write_update_of_consumed_inclusive_line(hierarchy, bank):
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(0.5, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line.way in SKYLAKE_SP.inclusive_ways and holder_cores(line.holders) == [0]
+    assert line.way in SKYLAKE_SP.inclusive_ways
+    assert holder_cores(hierarchy.sf.holders(100)) == [0]
     hierarchy.dma_write(1.0, 100, "nic", allocating=True)
     line = hierarchy.llc.lookup(100, touch=False)
     assert line.way in SKYLAKE_SP.inclusive_ways  # write-update in place
     assert not line.consumed and line.dirty
-    assert line.holders == 0
+    assert hierarchy.sf.holders(100) == 0
     assert hierarchy.mlcs[0].peek(100) is None
 
 
@@ -31,8 +32,8 @@ def test_second_cpu_read_of_consumed_line_does_not_remigrate(hierarchy, bank):
     # Another core reads the same (now shared) line.
     hierarchy.cpu_access(1.0, 1, 100, "nic", io_read=True)
     assert bank.stream("nic").migrations == migrations
-    line = hierarchy.llc.lookup(100, touch=False)
-    assert holder_cores(line.holders) == [0, 1]
+    assert hierarchy.llc.lookup(100, touch=False) is not None
+    assert holder_cores(hierarchy.sf.holders(100)) == [0, 1]
 
 
 def test_rfo_on_io_line_takes_it_out_of_llc(hierarchy):
@@ -89,7 +90,7 @@ def test_dirty_inclusive_victim_marks_lowest_holder(bank, cat, memory, path):
     hierarchy.cpu_access(1.0, 9, 100, "nic", io_read=True)
     hierarchy.cpu_access(2.0, 3, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert holder_cores(line.holders) == [3, 9]
+    assert holder_cores(hierarchy.sf.holders(100)) == [3, 9]
     line.dirty = True  # as if it had absorbed a dirty MLC victim
     if path == "migration":
         # Two more consumed I/O lines migrate into the two inclusive ways;

@@ -13,7 +13,7 @@ def test_consumed_dca_line_migrates_to_inclusive_way(hierarchy):
     hierarchy.cpu_access(1.0, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
     assert line.way in SKYLAKE_SP.inclusive_ways
-    assert holder_cores(line.holders) == [0]
+    assert holder_cores(hierarchy.sf.holders(100)) == [0]
 
 
 def test_migration_evicts_inclusive_way_occupants(hierarchy, cat, bank):
@@ -105,7 +105,8 @@ def test_inclusive_downgrade_preserves_mlc_copy(hierarchy, bank):
     sets = hierarchy.llc.cfg.sets
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(0.5, 0, 100, "nic", io_read=True)
-    assert holder_cores(hierarchy.llc.lookup(100, touch=False).holders) == [0]
+    assert hierarchy.llc.lookup(100, touch=False) is not None
+    assert holder_cores(hierarchy.sf.holders(100)) == [0]
     for i in range(1, 4):
         addr = 100 + i * sets
         hierarchy.dma_write(1.0, addr, "nic2", allocating=True)

@@ -23,6 +23,11 @@ def make(sets=4, ways=2):
     return CacheHierarchy(cfg, CacheAllocation(), MemoryController(bank), bank)
 
 
+def occupancy(mlc):
+    """The number of lines resident in ``mlc``."""
+    return sum(len(bucket) for bucket in mlc._sets)
+
+
 def read(hierarchy, *addrs, write=False):
     for addr in addrs:
         hierarchy.cpu_access(0.0, 0, addr, "s", write=write)
@@ -41,9 +46,11 @@ def test_insert_and_lookup():
 def test_capacity_and_occupancy():
     hierarchy = make(sets=4, ways=2)
     mlc = hierarchy.mlcs[0]
-    assert mlc.capacity_lines == 8
+    assert mlc.sets * mlc.ways == 8
     read(hierarchy, *range(8))
-    assert mlc.occupancy() == 8
+    assert occupancy(mlc) == 8
+    read(hierarchy, 8)  # a ninth line evicts one
+    assert occupancy(mlc) == 8
 
 
 def test_eviction_is_lru_within_set():
@@ -61,7 +68,7 @@ def test_conflict_only_within_same_set():
     hierarchy = make(sets=4, ways=1)
     mlc = hierarchy.mlcs[0]
     read(hierarchy, 0, 1)  # different sets: no eviction
-    assert mlc.occupancy() == 2
+    assert occupancy(mlc) == 2
     read(hierarchy, 4)  # maps to set 0
     assert mlc.peek(0) is None
     assert mlc.peek(1) is not None and mlc.peek(4) is not None
@@ -71,7 +78,7 @@ def test_double_access_fills_once():
     hierarchy = make()
     read(hierarchy, 3, 3)
     mlc = hierarchy.mlcs[0]
-    assert mlc.occupancy() == 1
+    assert occupancy(mlc) == 1
     counters = hierarchy.counters.stream("s")
     assert (counters.mlc_misses, counters.mlc_hits) == (1, 1)
 
@@ -99,7 +106,8 @@ def test_peek_does_not_touch_lru():
 def test_resident_iterates_all():
     hierarchy = make()
     read(hierarchy, 0, 1, 2)
-    assert sorted(line.addr for line in hierarchy.mlcs[0].resident()) == [0, 1, 2]
+    lines = [line for bucket in hierarchy.mlcs[0]._sets for line in bucket.values()]
+    assert sorted(line.addr for line in lines) == [0, 1, 2]
 
 
 def test_invalid_geometry_rejected():

@@ -64,26 +64,21 @@ def test_hierarchy_structural_invariants(ops):
         # (2) every resident line is indexed where it claims to be
         wayset = hierarchy.llc.set_of(line.addr)
         assert wayset.slots[line.way] is line
-        # (3) an LLC line's holders are its directory entry's (0 untracked)
-        entry = hierarchy.sf.entry(line.addr)
-        assert line.holders == (0 if entry is None else entry.holders)
-        # (4) inclusive lines only in inclusive ways
-        if line.holders:
+        # (3) inclusive lines (their address has holders) only in
+        # inclusive ways
+        if hierarchy.sf.holders(line.addr):
             assert line.way in hierarchy.llc.cfg.inclusive_ways
-            # (5) holders really hold the line
-            for core in holder_cores(line.holders):
-                assert hierarchy.mlcs[core].peek(line.addr) is not None
 
-    # (6) snoop-filter entries match MLC contents
+    # (4) snoop-filter holder masks match MLC contents, both ways
     for core, mlc in enumerate(hierarchy.mlcs):
-        for mlc_line in mlc.resident():
-            entry = hierarchy.sf.entry(mlc_line.addr)
-            assert entry is not None and core in holder_cores(entry.holders)
-    # (7) a directory entry is pinned exactly when its line is LLC-resident
+        for bucket in mlc._sets:
+            for addr in bucket:
+                assert core in holder_cores(hierarchy.sf.holders(addr))
     for bucket in hierarchy.sf._sets:
-        for addr, entry in bucket.items():
-            resident = hierarchy.llc.lookup(addr, touch=False) is not None
-            assert entry.inclusive == resident
+        for addr, holders in bucket.items():
+            assert holders != 0
+            for core in holder_cores(holders):
+                assert hierarchy.mlcs[core].peek(addr) is not None
 
 
 @settings(max_examples=60, deadline=None)

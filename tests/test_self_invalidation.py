@@ -40,7 +40,7 @@ def test_consumed_lines_never_bloat():
 
 def test_regular_lines_still_use_victim_cache():
     hierarchy, bank, _ = build()
-    capacity = hierarchy.mlcs[0].capacity_lines
+    capacity = hierarchy.cfg.mlc_sets * hierarchy.cfg.mlc_ways
     for addr in range(capacity + 1):
         hierarchy.cpu_access(0.0, 0, addr, "app")
     assert hierarchy.llc.lookup(0, touch=False) is not None

@@ -90,13 +90,6 @@ def test_slotted_classes_reject_new_attributes(instance):
         instance.bogus_attribute = 1
 
 
-def test_llc_line_inclusive_follows_holders():
-    line = LlcLine(addr=1, stream="s", way=0)
-    assert not line.inclusive
-    line.holders |= 1 << 3
-    assert line.inclusive
-
-
 # -- StreamCounters snapshot/delta -----------------------------------------
 
 
