@@ -67,21 +67,24 @@ def build_hierarchy(spec, llc_overrides=None, **cfg_overrides):
 
 
 def llc_state(hierarchy):
-    """Every LLC line with its holders: its address's directory mask."""
+    """Every LLC set's lines in recency order (least recent first), each
+    with its holders: its address's directory mask."""
     holders = hierarchy.sf.holders
-    return sorted(
-        (
-            line.addr,
-            line.stream,
-            line.way,
-            line.dirty,
-            line.io,
-            line.consumed,
-            line.lru,
-            tuple(holder_cores(holders(line.addr))),
-        )
-        for line in hierarchy.llc.resident()
-    )
+    return [
+        [
+            (
+                line.addr,
+                line.stream,
+                line.way,
+                line.dirty,
+                line.io,
+                line.consumed,
+                tuple(holder_cores(holders(line.addr))),
+            )
+            for line in sorted(wayset.index.values(), key=lambda l: l.lru)
+        ]
+        for wayset in hierarchy.llc._sets
+    ]
 
 
 def mlc_state(hierarchy):

@@ -4,7 +4,7 @@ The parity tests prove bursts and their lines issued one by one agree
 with each other; these tests prove neither has drifted from the recorded
 behaviour.  Each
 case hashes a canonical dump of a finished run, so any change to any
-counter, recency tick, line placement or latency statistic fails here —
+counter, recency order, line placement or latency statistic fails here —
 which is the point: a performance change to ``cache/hierarchy.py`` must
 leave every digest untouched.  A change that alters results on purpose
 must update the digests and say why.
@@ -12,8 +12,9 @@ must update the digests and say why.
 Two kinds of run are pinned:
 
 * fixed randomized op streams (the parity suite's generator) driven
-  through small hierarchies of every platform preset, of the
-  behavioural ablations and of a directory small enough to overflow,
+  through small hierarchies of every platform preset, of every
+  replacement policy, of the behavioural ablations and of a directory
+  small enough to overflow,
   once as issued ("batched") and once with every
   burst, quantum and run split into single-line calls ("scalar");
 * the epoch samples of Fig. 11's a4 / 1024 B cell (DPDK-T, FIO and
@@ -29,7 +30,9 @@ Two kinds of run are pinned:
   8 epochs, half of them skipped), at two seeds;
 * the epoch samples of a Redis-S/C pair, the one workload whose lines
   (the request/response mailbox) are held by two cores' MLCs at once,
-  3 epochs with 1 warm-up, at two seeds.
+  3 epochs with 1 warm-up, at two seeds;
+* the epoch samples of each replacement policy's run in the
+  ``ablation-replacement`` figure, at its quick length.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ import pytest
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.llc import LlcConfig
+from repro.experiments.figures.ablation import _bloat_scenario
 from repro.experiments.figures.base import run_setup
 from repro.experiments.harness import Server
 from repro.experiments.scenarios import build_server, microbenchmark_workloads
@@ -83,27 +87,36 @@ OP_STREAM_CASES = {
     # Three directory ways per set: the extended directory overflows and
     # back-invalidates MLCs (about 20 times over the stream).
     "small-directory": (SKYLAKE_SP, {}, {"ext_dir_ways": 3}, 109),
+    "nru": (SKYLAKE_SP, {"replacement": "nru"}, {}, 110),
+    "brrip": (SKYLAKE_SP, {"replacement": "brrip"}, {}, 111),
+    "deadblock": (SKYLAKE_SP, {"replacement": "deadblock"}, {}, 112),
 }
 
 OP_STREAM_GOLDENS = {
     "skylake-sp":
-        "f2b00b73bf341c097150d8b1d2c192a0340813360e29a95608cc21193aa9a83b",
+        "7bdb63d6baab3a9ecaaca105bb8a1e75ad02c3d728162f9420d3b8507d364f7c",
     "icelake-sp":
-        "e5f50bf2805fd3b0f2fc1df751485d4c7f2c7867a1db6a9b183ce56b0cf9a702",
+        "ea296b835bc1baee76f9bc14eb2c3e767331ddb21b048b7addf5a1cf87a898ca",
     "cascadelake-sp":
-        "59469cc42a7c8206bb99f7c00b79fe475227cc404c9e9292d87d423a8d3e7e0d",
+        "cd510c8a8c18ec5215f043135feb8113f795e9b7b8cd186e3e33f0965eb949f6",
     "srrip":
-        "7d349a6586f98b312fe8ce0bf53c3a9858adfd7dd423dffe9f4a048f175b6211",
+        "138947a3c60737d608228221675603bfb92c3e035f115ce570741bf331f75da1",
     "no-migration":
-        "bc424a2202c1172430c89253225237e3a3d67446935f4260b25ed50d829a3bcd",
+        "9362b4aab3d1aaeb6074e32e198ee67079f629f0754a7d6f6cfa8d4285d9b58a",
     "self-invalidate":
-        "049ef29d921ab8aa8b6bf88743d0e43208976e6949732628d64cd04b4d9907e3",
+        "275cf45df12d3b79b46cbb1bcc5954afc39fb92bc320f9ba96ae618d73008845",
     "no-write-update":
-        "9bfabcb7513c84e7245416c1649c28505edc2745629e9c764c3d5285e0371ced",
+        "5bd183e96e256feeebb1dba572d48fb70f9c22b1d5a8f5c2f4c34e1be7afdb54",
     "prefetch":
-        "92cfb9725025725f237191a8659de7983a21d4d05e6dd6383b879cb837bf0e7a",
+        "9ae248fa1086ab77b94928893c4275a69a5d6976eaba5a051ff480001e1395cb",
     "small-directory":
-        "aaa30aba9e9867c50131a9160f1a24d2cd202f2bae706bf548ea4fe323423639",
+        "568dd794cd8659f7fdfe0b54c3a96c9172e3997b3ae27c07ae01ba5203e9ec24",
+    "nru":
+        "a00e888acefb719d81dc2298504444e8ea89ffa49545dee5f025d917ef24c187",
+    "brrip":
+        "e3efdb59243ec269bd842fb777ad55c57d643202855b034e48d7b5fe903d6694",
+    "deadblock":
+        "4ccacf4329dd100503eca318fe0ff83c15995af85b0192547707bcf43ff1cb5d",
 }
 
 
@@ -276,3 +289,22 @@ def test_shared_line_golden(seed):
     server.add_workloads(list(redis_pair()))
     result = server.run(epochs=3, warmup=1)
     assert sample_digest(result.samples) == SHARED_LINE_GOLDENS[seed]
+
+
+REPLACEMENT_GOLDENS = {
+    "lru": "4189d9f6ebf51f29abaed18322db3bfd3dae568c9e9d18c6d2080d70c79ec867",
+    "nru": "88f6ee6713a509d1e094dd068f3f6322bb681bb93a93cd43866f496641b83405",
+    "srrip": "2cc95516dba972c9f094c1aabd73a168c35943b9d5924ff6794089a16bac1efb",
+    "brrip": "428ab3c3e012b069001c1d9aed5b70787775b9dfad4602bdd9fc76c88d1f974b",
+    "deadblock":
+        "ac2aa57cc982f4695c0db170473c8f0dfe31f8fd5a3b0b0536e0225897e77d3e",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(REPLACEMENT_GOLDENS))
+def test_replacement_ablation_golden(policy):
+    """Each policy's run in the ``ablation-replacement`` figure at its
+    quick length (5 epochs, 2 warm-up, seed 0xA4)."""
+    cfg = HierarchyConfig(llc=LlcConfig(replacement=policy))
+    result = _bloat_scenario(cfg, (5, 6), epochs=5, seed=0xA4)
+    assert sample_digest(result.samples) == REPLACEMENT_GOLDENS[policy]
