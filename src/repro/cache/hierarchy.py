@@ -39,6 +39,7 @@ from repro.cache.directory import SnoopFilter
 from repro.cache.line import LlcLine, MlcLine, holder_cores
 from repro.cache.llc import LastLevelCache, LlcConfig
 from repro.cache.mlc import MidLevelCache
+from repro.cache.replacement import LruPolicy
 from repro.platform import DEFAULT_PLATFORM, PlatformSpec
 from repro.rdt.cat import CacheAllocation
 from repro.telemetry.counters import CounterBank
@@ -119,8 +120,8 @@ class CacheHierarchy:
     themselves) into ``__slots__`` locals: the hot paths never chase
     ``self.cfg.<field>`` through two levels of dataclass indirection per
     event.  All snapshot sources are frozen or construction-stable; the
-    runtime-mutable state (CAT masks, the DDIO way mask, replacement
-    policy ticks) is still read through its owning object every time.
+    runtime-mutable state (CAT masks, the DDIO way mask) is still read
+    through its owning object every time.
     """
 
     __slots__ = (
@@ -135,7 +136,7 @@ class CacheHierarchy:
         "_scounters",
         "_inclusive_migration",
         "_inclusive_ways",
-        "_llc_lru_tick",
+        "_llc_lru",
         "_mlc_hit_cycles",
         "_llc_hit_cycles",
         "_snoop_hit_cycles",
@@ -182,8 +183,12 @@ class CacheHierarchy:
         # every access (the bank itself is stable for the hierarchy's life).
         self._inclusive_migration = cfg.llc.inclusive_migration
         self._inclusive_ways = cfg.llc.inclusive_ways
-        self._llc_lru_tick = self.llc._lru_tick
-        # Mirror of the LLC's LRU fast-path tick (None for RRIP/NRU).
+        self._llc_lru = type(self.llc.policy) is LruPolicy
+        # LRU fast path: under plain LRU (the default) a hit is a move to
+        # the end of its LLC set's index and a victim is the set's
+        # ``lru_way``, which the hot paths inline instead of dispatching
+        # through the policy; and a dead record (its policy metadata
+        # empty) can be reused.
         # Spec-derived scalar snapshots (constants for this instance).
         self._mlc_hit_cycles = cfg.mlc_hit_cycles
         self._llc_hit_cycles = cfg.llc_hit_cycles
@@ -201,11 +206,10 @@ class CacheHierarchy:
         self._sf_ways = self.sf.ways
         self._mlc_ways = cfg.mlc_ways
         self._spare_lines: list[LlcLine] = []
-        # The LLC records that left the cache (LRU fast path only: their
-        # policy metadata is empty), reused by the next DMA allocates or
-        # MLC-victim fills that need a record.  Each one left a hole that
-        # such a fill refills, so the list stays as small as the cache's
-        # holes.
+        # The LLC records that left the cache (LRU fast path only), reused
+        # by the next DMA allocates or MLC-victim fills that need a record.
+        # Each one left a hole that such a fill refills, so the list stays
+        # as small as the cache's holes.
         self._writebacks: dict[str, int] = {}
         # Memory write lines per stream that the current DMA call owes;
         # empty between calls (see dma_write_burst).
@@ -251,71 +255,69 @@ class CacheHierarchy:
             if write:
                 mlc_line.dirty = True
                 # A store hit in an MLC invalidates any (now stale) LLC copy.
-                llc_line = self._llc_sets[addr % self._llc_nsets].index.get(addr)
+                wayset = self._llc_sets[addr % self._llc_nsets]
+                llc_line = wayset.index.get(addr)
                 if llc_line is not None:
-                    self.llc.remove(llc_line)
+                    wayset.remove(llc_line)
+                    if self._llc_lru:
+                        self._spare_lines.append(llc_line)
             return self._mlc_hit_cycles
 
         counters.mlc_misses += 1
         wayset = self._llc_sets[addr % self._llc_nsets]
         llc_line = wayset.index.get(addr)
         if llc_line is not None:
-            lru_tick = self._llc_lru_tick
-            if lru_tick is not None:
-                llc_line.lru = next(lru_tick)
-            else:
-                self.llc.policy.on_hit(llc_line)
             counters.llc_hits += 1
-            if llc_line.io and not llc_line.consumed:
+            io = llc_line.io
+            if io and not llc_line.consumed:
                 # First CPU touch of a DMA-written line: mark consumed and
                 # perform the modified-to-shared write-back (Wang et al.).
                 llc_line.consumed = True
                 if llc_line.dirty:
                     self.memory.write(now, 1, llc_line.stream)
                     llc_line.dirty = False
-            if write:
-                # RFO: the MLC takes exclusive ownership; the LLC copy dies.
-                dirty = True
-                io_flag = llc_line.io
-                self.llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty, io_flag, bucket)
-            elif llc_line.io and self._self_invalidate_consumed:
-                # IDIO/Sweeper baseline: the consumed copy self-invalidates.
-                self.llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, False, True, bucket)
-            elif llc_line.io:
+            if io and not write and not self._self_invalidate_consumed:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
                 # as an LLC-inclusive line must migrate into the inclusive
                 # ways (Yan et al.) — the paper's directory contention —
                 # unless disabled for ablation.
+                lru = self._llc_lru
+                index = wayset.index
+                if lru:
+                    del index[addr]
+                    index[addr] = llc_line
+                else:
+                    self.llc.policy.on_hit(wayset, llc_line)
                 migrate = (
                     self._inclusive_migration
                     and llc_line.way not in self._inclusive_ways
                 )
-                if migrate and lru_tick is None:
+                if migrate and not lru:
                     self._make_inclusive(now, llc_line)
                 elif migrate:
                     # Inlined LastLevelCache.migrate_to_inclusive (LRU fast
-                    # path): the line keeps its index entry, only its slot
-                    # and way change.
+                    # path, WaySet.lru_way inlined too): the line keeps its
+                    # index entry, only its slot and way change.
                     slots = wayset.slots
+                    ways = self._inclusive_ways
                     way = -1
-                    best_lru = None
-                    for cand in self._inclusive_ways:
-                        resident = slots[cand]
-                        if resident is None:
-                            way = cand
-                            break
-                        if best_lru is None or resident.lru < best_lru:
-                            way, best_lru = cand, resident.lru
+                    if len(index) < len(slots):
+                        for cand in ways:
+                            if slots[cand] is None:
+                                way = cand
+                                break
                     if way < 0:
-                        raise ValueError("no candidate ways for victim selection")
+                        for resident in index.values():
+                            if resident.way in ways:
+                                way = resident.way
+                                break
+                        else:
+                            raise ValueError("no candidate ways for victim selection")
                     victim = slots[way]
                     if victim is not None:
-                        del wayset.index[victim.addr]
+                        del index[victim.addr]
                     slots[llc_line.way] = None
-                    llc_line.lru = next(lru_tick)
                     llc_line.way = way
                     slots[way] = llc_line
                     lstream = llc_line.stream
@@ -350,19 +352,23 @@ class CacheHierarchy:
                                 self.memory.write(now, 1, vstream)
                         self._spare_lines.append(victim)
                 self._fill_mlc(now, core, addr, stream, False, True, bucket)
-            else:
-                # Regular non-inclusive victim-cache hit: the line transfers
-                # to the reader's MLC and the LLC copy is invalidated.
-                # Inlined LastLevelCache.remove; on the LRU fast path the
-                # now unreferenced record waits for _fill_mlc to reuse it.
-                slots = wayset.slots
-                if slots[llc_line.way] is not llc_line:
-                    raise ValueError("line is not resident where it claims to be")
-                slots[llc_line.way] = None
-                del wayset.index[addr]
-                if lru_tick is not None:
-                    self._spare_lines.append(llc_line)
-                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False, bucket)
+                return self._llc_hit_cycles
+            # Every other hit moves the line into the reader's MLC and the
+            # LLC copy dies: a store (RFO: the MLC takes exclusive
+            # ownership), a consumed I/O line under the IDIO/Sweeper
+            # baseline (it self-invalidates), or a regular non-inclusive
+            # victim-cache hit.  On the LRU fast path the dead record waits
+            # in ``_spare_lines`` for a fill to reuse it.  (Inlined
+            # WaySet.remove.)
+            slots = wayset.slots
+            if slots[llc_line.way] is not llc_line:
+                raise ValueError("line is not resident where it claims to be")
+            slots[llc_line.way] = None
+            del wayset.index[addr]
+            if self._llc_lru:
+                self._spare_lines.append(llc_line)
+            dirty = write or (not io and llc_line.dirty)
+            self._fill_mlc(now, core, addr, stream, dirty, io, bucket)
             return self._llc_hit_cycles
 
         if addr in self._sf_sets[addr % self._sf_nsets]:
@@ -504,7 +510,7 @@ class CacheHierarchy:
         llc_sets = self._llc_sets
         llc_nsets = self._llc_nsets
         write_update = self._ddio_write_update
-        lru_tick = self._llc_lru_tick
+        lru = self._llc_lru
         dca_ways = llc.dca_ways
         spares = self._spare_lines
         while True:
@@ -533,47 +539,47 @@ class CacheHierarchy:
                         llc_line.io = True
                         llc_line.consumed = False
                         llc_line.stream = stream
-                        if lru_tick is not None:
-                            llc_line.lru = next(lru_tick)
+                        if lru:
+                            index = wayset.index
+                            del index[addr]
+                            index[addr] = llc_line
                         else:
-                            llc.policy.on_hit(llc_line)
+                            llc.policy.on_hit(wayset, llc_line)
                         continue
                     # The stale copy dies without write-back: the memory flow
                     # invalidates it, the write-update ablation re-allocates
-                    # the line into the DCA ways below.  (Inlined
-                    # LastLevelCache.remove.)
-                    slots = wayset.slots
-                    if slots[llc_line.way] is not llc_line:
-                        raise ValueError("line is not resident where it claims to be")
-                    slots[llc_line.way] = None
-                    del wayset.index[addr]
-                    if lru_tick is not None:
+                    # the line into the DCA ways below.
+                    wayset.remove(llc_line)
+                    if lru:
                         spares.append(llc_line)
                 if not allocating:
                     continue
                 # DDIO write-allocate into the DCA ways.
                 allocates += 1
                 index = wayset.index
-                if lru_tick is None:
+                if not lru:
                     _, victim = llc.allocate(addr, stream, dca_ways, True, True, False)
                     if victim is None:
                         continue
                     held = victim.addr in sf_bucket
                 else:
-                    # Inlined LastLevelCache.allocate (LRU fast path); the
-                    # lookup above proved ``addr`` is not resident.
+                    # Inlined LastLevelCache.allocate and WaySet.lru_way
+                    # (LRU fast path); the lookup above proved ``addr`` is
+                    # not resident.
                     slots = wayset.slots
                     way = -1
-                    best_lru = None
-                    for cand in dca_ways:
-                        resident = slots[cand]
-                        if resident is None:
-                            way = cand
-                            break
-                        if best_lru is None or resident.lru < best_lru:
-                            way, best_lru = cand, resident.lru
+                    if len(index) < len(slots):
+                        for cand in dca_ways:
+                            if slots[cand] is None:
+                                way = cand
+                                break
                     if way < 0:
-                        raise ValueError("no candidate ways for victim selection")
+                        for resident in index.values():
+                            if resident.way in dca_ways:
+                                way = resident.way
+                                break
+                        else:
+                            raise ValueError("no candidate ways for victim selection")
                     victim = slots[way]
                     if victim is None:
                         held = False
@@ -591,7 +597,6 @@ class CacheHierarchy:
                             line.dirty = True
                             line.io = True
                             line.consumed = False
-                        line.lru = next(lru_tick)
                         slots[way] = line
                         index[addr] = line
                         if victim is None:
@@ -599,7 +604,7 @@ class CacheHierarchy:
                 if held:
                     # An inclusive victim only loses its LLC data copy.
                     self._dispose_victim(now, victim)
-                    if lru_tick is not None:
+                    if lru:
                         spares.append(victim)
                     continue
                 # Inlined _dispose_victim, no-holders case, its write-back
@@ -613,14 +618,13 @@ class CacheHierarchy:
                     vcounters.dma_leaks += 1
                 if victim.dirty:
                     writebacks[vstream] = writebacks.get(vstream, 0) + 1
-                if lru_tick is not None:
+                if lru:
                     # Nothing else references the victim: it becomes the line.
                     victim.addr = addr
                     victim.stream = stream
                     victim.dirty = True
                     victim.io = True
                     victim.consumed = False
-                    victim.lru = next(lru_tick)
                     index[addr] = victim
             if updates:
                 counters.ddio_updates += updates
@@ -818,8 +822,7 @@ class CacheHierarchy:
             counters.dma_bloats += 1
         cat = self.cat
         allowed = cat._masks[cat._core_clos.get(core, 0)]
-        lru_tick = self._llc_lru_tick
-        if lru_tick is None:
+        if not self._llc_lru:
             # An I/O line that reached an MLC counts as consumed.
             _, victim = self.llc.allocate(
                 addr, vstream, allowed, dirty=vdirty, io=vio, consumed=vio
@@ -827,20 +830,23 @@ class CacheHierarchy:
             if victim is not None:
                 self._dispose_victim(now, victim)
             return
-        # Inlined LastLevelCache.allocate (LRU fast path); the lookup above
-        # proved ``addr`` is not resident, and ``wayset`` is reused from it.
+        # Inlined LastLevelCache.allocate and WaySet.lru_way (LRU fast
+        # path); the lookup above proved ``addr`` is not resident, and
+        # ``wayset`` is reused from it.
         slots = wayset.slots
         way = -1
-        best_lru = None
-        for cand in allowed:
-            resident = slots[cand]
-            if resident is None:
-                way = cand
-                break
-            if best_lru is None or resident.lru < best_lru:
-                way, best_lru = cand, resident.lru
+        if len(index) < len(slots):
+            for cand in allowed:
+                if slots[cand] is None:
+                    way = cand
+                    break
         if way < 0:
-            raise ValueError("no candidate ways for victim selection")
+            for resident in index.values():
+                if resident.way in allowed:
+                    way = resident.way
+                    break
+            else:
+                raise ValueError("no candidate ways for victim selection")
         victim = slots[way]
         if victim is not None:
             del index[victim.addr]
@@ -862,7 +868,6 @@ class CacheHierarchy:
                 victim.dirty = vdirty
                 victim.io = vio
                 victim.consumed = vio
-                victim.lru = next(lru_tick)
                 index[addr] = victim
                 return
         spares = self._spare_lines
@@ -876,7 +881,6 @@ class CacheHierarchy:
             line.dirty = vdirty
             line.io = vio
             line.consumed = vio
-        line.lru = next(lru_tick)
         slots[way] = line
         index[addr] = line
         if victim is not None:

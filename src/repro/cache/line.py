@@ -17,8 +17,9 @@ Lines do not carry it: the extended directory maps each MLC-resident
 address to its mask (see :mod:`repro.cache.directory`), so an LLC line's
 holders are its address's mask there, and the line is **LLC-inclusive**
 (also resident in some MLC — such lines may only occupy the two inclusive
-ways) exactly when that mask is non-zero.  An MLC line carries no recency
-stamp: each MLC set is kept in recency order (see :mod:`repro.cache.mlc`).
+ways) exactly when that mask is non-zero.  Neither line carries a recency
+stamp: each MLC set and each LLC set is kept in recency order (see
+:mod:`repro.cache.mlc` and :mod:`repro.cache.sets`).
 
 Both classes are plain ``__slots__`` records rather than dataclasses:
 millions of them are allocated per run, and the closed attribute set plus
@@ -75,7 +76,6 @@ class LlcLine:
         "dirty",
         "io",
         "consumed",
-        "lru",
         "meta",
     )
 
@@ -87,7 +87,6 @@ class LlcLine:
         dirty: bool = False,
         io: bool = False,
         consumed: bool = False,
-        lru: int = 0,
         meta: Optional[Dict[str, int]] = None,
     ):
         self.addr = addr
@@ -96,7 +95,6 @@ class LlcLine:
         self.dirty = dirty
         self.io = io
         self.consumed = consumed
-        self.lru = lru
         self.meta: Dict[str, int] = {} if meta is None else meta
         """Replacement-policy metadata (e.g. the RRIP re-reference value)."""
 

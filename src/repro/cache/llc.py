@@ -5,7 +5,10 @@ left-most are the DDIO (*DCA*) ways and the two right-most are the hidden
 *inclusive* ways coupled with the shared directory entries.  The LLC itself
 is policy-free: victim masks are supplied per call (by CAT for CPU fills,
 by the IIO agent for DMA fills), and the hierarchy layer decides what an
-eviction means.
+eviction means.  Each set keeps its lines in recency order (see
+:mod:`repro.cache.sets`); these methods go through the replacement policy,
+while :class:`~repro.cache.hierarchy.CacheHierarchy`'s hot paths work on
+the sets directly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.cache.line import LlcLine
-from repro.cache.replacement import LruPolicy, make_policy
+from repro.cache.replacement import make_policy
 from repro.cache.sets import WaySet
 from repro.platform import DEFAULT_PLATFORM, PlatformSpec
 
@@ -62,19 +65,13 @@ class LlcConfig:
 class LastLevelCache:
     """The shared LLC data array."""
 
-    __slots__ = ("cfg", "_sets", "_nsets", "policy", "_lru_tick", "dca_ways")
+    __slots__ = ("cfg", "_sets", "_nsets", "policy", "dca_ways")
 
     def __init__(self, cfg: Optional[LlcConfig] = None):
         self.cfg = cfg or LlcConfig()
         self._sets = [WaySet(self.cfg.ways) for _ in range(self.cfg.sets)]
         self._nsets = self.cfg.sets
         self.policy = make_policy(self.cfg.replacement)
-        self._lru_tick = (
-            self.policy._tick if type(self.policy) is LruPolicy else None
-        )
-        """LRU fast path: when the policy is the (default) plain LRU, hits,
-        fills and victim picks reduce to tick bumps and a min-scan, which
-        the hot paths inline instead of dispatching through the policy."""
         self.dca_ways: Tuple[int, ...] = tuple(self.cfg.dca_ways)
         """The ways DDIO write-allocates into.  Runtime-mutable through the
         IIO LLC WAYS register (``repro.uncore.msr``), as on real Skylake-SP
@@ -93,24 +90,12 @@ class LastLevelCache:
 
     # -- basic operations ---------------------------------------------------
 
-    def set_of(self, addr: int) -> WaySet:
-        return self._sets[addr % self._nsets]
-
     def lookup(self, addr: int, touch: bool = True) -> Optional[LlcLine]:
-        line = self._sets[addr % self._nsets].index.get(addr)
+        wayset = self._sets[addr % self._nsets]
+        line = wayset.index.get(addr)
         if line is not None and touch:
-            if self._lru_tick is not None:
-                line.lru = next(self._lru_tick)
-            else:
-                self.policy.on_hit(line)
+            self.policy.on_hit(wayset, line)
         return line
-
-    def touch(self, line: LlcLine) -> None:
-        """Refresh ``line``'s recency without a lookup."""
-        if self._lru_tick is not None:
-            line.lru = next(self._lru_tick)
-        else:
-            self.policy.on_hit(line)
 
     def allocate(
         self,
@@ -130,22 +115,7 @@ class LastLevelCache:
         index = wayset.index
         if addr in index:
             raise ValueError(f"addr {addr:#x} already resident in LLC")
-        lru_tick = self._lru_tick
-        if lru_tick is not None:
-            # Inlined LruPolicy.victim_way: first empty way, else min LRU.
-            way = -1
-            best_lru = None
-            for cand in allowed_ways:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-        else:
-            way = self.policy.victim_way(slots, allowed_ways)
+        way = self.policy.victim_way(wayset, allowed_ways)
         victim = slots[way]
         if victim is not None:
             # Inlined WaySet.remove: slots[way] is overwritten just below.
@@ -158,54 +128,34 @@ class LastLevelCache:
             io=io,
             consumed=consumed,
         )
-        if lru_tick is not None:
-            line.lru = next(lru_tick)
-        else:
-            self.policy.on_fill(line)
+        self.policy.on_fill(line)
         slots[way] = line
         index[addr] = line
         return line, victim
 
     def remove(self, line: LlcLine) -> None:
-        self.set_of(line.addr).remove(line)
+        self._sets[line.addr % self._nsets].remove(line)
 
     def migrate_to_inclusive(self, line: LlcLine) -> Optional[LlcLine]:
         """Relocate ``line`` into an inclusive way of its set.
 
         Models the shared-directory coupling: a line resident in both MLC and
         LLC may only occupy the inclusive ways.  Returns the displaced victim
-        (None if an inclusive way was free).  No-op if already there.
+        (None if an inclusive way was free).  The line counts as referenced;
+        it stays put if already there.
         """
-        if line.way in self.cfg.inclusive_ways:
-            self.touch(line)
-            return None
         wayset = self._sets[line.addr % self._nsets]
+        self.policy.on_hit(wayset, line)
+        if line.way in self.cfg.inclusive_ways:
+            return None
         slots = wayset.slots
-        lru_tick = self._lru_tick
-        if lru_tick is not None:
-            way = -1
-            best_lru = None
-            for cand in self.cfg.inclusive_ways:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-        else:
-            way = self.policy.victim_way(slots, self.cfg.inclusive_ways)
+        way = self.policy.victim_way(wayset, self.cfg.inclusive_ways)
         victim = slots[way]
         if victim is not None:
             del wayset.index[victim.addr]
         # Relocate in place: the line keeps its index entry, only the slot
         # and way change.
         slots[line.way] = None
-        if lru_tick is not None:
-            line.lru = next(lru_tick)
-        else:
-            self.policy.on_hit(line)
         line.way = way
         slots[way] = line
         return victim

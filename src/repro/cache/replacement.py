@@ -17,154 +17,97 @@ Policies:
   lines are evicted before re-referenced ones;
 * :class:`BrripPolicy`  — Bimodal RRIP: like SRRIP but inserts with a
   distant prediction most of the time, which resists thrashing;
+* :class:`DeadBlockHintPolicy` — SRRIP that inserts consumed I/O lines
+  as predicted dead;
 * :class:`NruPolicy`    — not-recently-used single-bit approximation.
 
-A policy owns the per-line metadata (``line.lru`` for LRU recency,
-``line.rrpv`` via the generic ``meta`` dict for RRIP) and decides victims
-within an allowed way set.
-
-Victim selection runs once per LLC fill, so ``_candidates`` avoids building
-a list/set per call: allowed way masks are stable tuples (CAT masks, the
-DCA mask, the inclusive ways), and their candidate tuples are memoised.
+A policy owns the per-line metadata (``line.meta``: the RRIP
+re-reference value, the NRU bit) and decides victims within an allowed
+way set.  Recency is not metadata: each LLC set's index is kept in
+recency order (see :mod:`repro.cache.sets`), and a policy's ``on_hit``
+moves the line to the end when the policy reads that order.  LRU is that
+order and nothing else; the RRIP family breaks ties by it.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.cache.line import LlcLine
-
-_ALLOWED_CACHE: Dict[object, Tuple[int, ...]] = {}
-
-
-def _allowed_tuple(allowed) -> Tuple[int, ...]:
-    """``tuple(allowed)``, memoised for the hashable masks the hierarchy
-    passes (tuples come back unchanged without a cache entry)."""
-    if type(allowed) is tuple:
-        return allowed
-    try:
-        cached = _ALLOWED_CACHE.get(allowed)
-    except TypeError:  # unhashable (e.g. a list) — convert every time
-        return tuple(allowed)
-    if cached is None:
-        cached = _ALLOWED_CACHE[allowed] = tuple(allowed)
-    return cached
+from repro.cache.sets import WaySet
 
 
 class ReplacementPolicy(abc.ABC):
-    """Victim selection + recency bookkeeping for one cache."""
+    """Victim selection + per-line metadata for one cache."""
 
     name = "abstract"
 
     @abc.abstractmethod
     def on_fill(self, line: LlcLine) -> None:
-        """A new line was installed."""
+        """A new line was installed (at the end of its set's index)."""
 
     @abc.abstractmethod
-    def on_hit(self, line: LlcLine) -> None:
-        """A resident line was referenced."""
+    def on_hit(self, wayset: WaySet, line: LlcLine) -> None:
+        """Resident ``line`` of ``wayset`` was referenced."""
 
     @abc.abstractmethod
-    def victim_way(
-        self,
-        slots: Sequence[Optional[LlcLine]],
-        allowed: Sequence[int],
-        exclude: Iterable[int] = (),
-    ) -> int:
+    def victim_way(self, wayset: WaySet, allowed: Sequence[int]) -> int:
         """Pick the way to evict among ``allowed`` (empty ways preferred)."""
-
-    @staticmethod
-    def _candidates(slots, allowed, exclude):
-        if exclude:
-            banned = set(exclude)
-            candidates = tuple(w for w in allowed if w not in banned)
-        else:
-            candidates = _allowed_tuple(allowed)
-        if not candidates:
-            raise ValueError("no candidate ways for victim selection")
-        for way in candidates:
-            if slots[way] is None:
-                return (way,), True
-        return candidates, False
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used via a monotone tick stored on each line."""
+    """Least-recently-used: the set's index order is the whole state."""
 
     name = "lru"
 
-    def __init__(self) -> None:
-        self._tick = itertools.count()
-
     def on_fill(self, line: LlcLine) -> None:
-        line.lru = next(self._tick)
+        pass
 
-    def on_hit(self, line: LlcLine) -> None:
-        line.lru = next(self._tick)
+    def on_hit(self, wayset: WaySet, line: LlcLine) -> None:
+        wayset.touch(line)
 
-    def victim_way(self, slots, allowed, exclude=()):
-        if exclude:
-            candidates, empty = self._candidates(slots, allowed, exclude)
-            if empty:
-                return candidates[0]
-        else:
-            candidates = _allowed_tuple(allowed)
-            if not candidates:
-                raise ValueError("no candidate ways for victim selection")
-        # Single pass: first empty way wins, else the least-recently-used.
-        best = None
-        best_lru = None
-        for way in candidates:
-            line = slots[way]
-            if line is None:
-                return way
-            if best_lru is None or line.lru < best_lru:
-                best, best_lru = way, line.lru
-        return best
+    def victim_way(self, wayset: WaySet, allowed: Sequence[int]) -> int:
+        return wayset.lru_way(allowed)
 
 
 class _RripBase(ReplacementPolicy):
-    """Common RRIP machinery: per-line RRPV in ``line.meta['rrpv']``."""
+    """Common RRIP machinery: per-line RRPV in ``line.meta['rrpv']``; ties
+    go to the least recent line."""
 
     def __init__(self, max_rrpv: int = 3):
         if max_rrpv < 1:
             raise ValueError("max_rrpv must be >= 1")
         self.max_rrpv = max_rrpv
-        self._tick = itertools.count()
 
     def _insertion_rrpv(self) -> int:
         raise NotImplementedError
 
     def on_fill(self, line: LlcLine) -> None:
         line.meta["rrpv"] = self._insertion_rrpv()
-        line.lru = next(self._tick)
 
-    def on_hit(self, line: LlcLine) -> None:
+    def on_hit(self, wayset: WaySet, line: LlcLine) -> None:
         line.meta["rrpv"] = 0
-        line.lru = next(self._tick)
+        wayset.touch(line)
 
-    def victim_way(self, slots, allowed, exclude=()):
-        candidates, empty = self._candidates(slots, allowed, exclude)
-        if empty:
-            return candidates[0]
+    def victim_way(self, wayset: WaySet, allowed: Sequence[int]) -> int:
+        way = wayset.empty_way(allowed)
+        if way >= 0:
+            return way
         max_rrpv = self.max_rrpv
-        # Search for an RRPV == max line, ageing everyone until one exists.
-        while True:
-            best = None
-            best_key = None
-            for way in candidates:
-                line = slots[way]
-                key = (line.meta.get("rrpv", max_rrpv), -line.lru)
-                if best_key is None or key > best_key:
-                    best, best_key = way, key
-            if best_key[0] >= max_rrpv:
-                return best
-            for way in candidates:
-                line = slots[way]
-                rrpv = line.meta.get("rrpv", max_rrpv) + 1
-                line.meta["rrpv"] = max_rrpv if rrpv > max_rrpv else rrpv
+        # Index order is recency order, least recent first.
+        lines = [line for line in wayset.index.values() if line.way in allowed]
+        if not lines:
+            raise ValueError("no candidate ways for victim selection")
+        top = max(line.meta.get("rrpv", max_rrpv) for line in lines)
+        if top < max_rrpv:
+            # Age every candidate until one reaches the distant value.
+            age = max_rrpv - top
+            for line in lines:
+                line.meta["rrpv"] = line.meta.get("rrpv", max_rrpv) + age
+        for line in lines:
+            if line.meta.get("rrpv", max_rrpv) >= max_rrpv:
+                return line.way
 
 
 class SrripPolicy(_RripBase):
@@ -213,33 +156,35 @@ class DeadBlockHintPolicy(_RripBase):
     def on_fill(self, line: LlcLine) -> None:
         if line.io and line.consumed:
             line.meta["rrpv"] = self.max_rrpv  # predicted dead
-            line.lru = next(self._tick)
         else:
             super().on_fill(line)
 
 
 class NruPolicy(ReplacementPolicy):
     """Single reference bit; evict a not-recently-used line, clearing the
-    bits when all candidates are recently used."""
+    bits when all candidates are recently used.  Keeps no recency order."""
 
     name = "nru"
 
     def on_fill(self, line: LlcLine) -> None:
         line.meta["nru"] = 1
 
-    def on_hit(self, line: LlcLine) -> None:
+    def on_hit(self, wayset: WaySet, line: LlcLine) -> None:
         line.meta["nru"] = 1
 
-    def victim_way(self, slots, allowed, exclude=()):
-        candidates, empty = self._candidates(slots, allowed, exclude)
-        if empty:
-            return candidates[0]
-        for way in candidates:
+    def victim_way(self, wayset: WaySet, allowed: Sequence[int]) -> int:
+        way = wayset.empty_way(allowed)
+        if way >= 0:
+            return way
+        if not allowed:
+            raise ValueError("no candidate ways for victim selection")
+        slots = wayset.slots
+        for way in allowed:
             if not slots[way].meta.get("nru", 0):
                 return way
-        for way in candidates:
+        for way in allowed:
             slots[way].meta["nru"] = 0
-        return candidates[0]
+        return allowed[0]
 
 
 _POLICIES: Dict[str, type] = {

@@ -1,15 +1,23 @@
 """Way-organised cache set used by the LLC.
 
 Every set holds one slot per way plus a tag index mapping address directly
-to the resident line for O(1) lookup on the hot path.  Victim selection
-lives in the replacement policies (:mod:`repro.cache.replacement`), which
-pick victims only among an *allowed* subset of ways — that is how both CAT
-way masks (CPU fills) and the DDIO way mask (DMA fills) are enforced.
+to the resident line for O(1) lookup on the hot path.  The index is kept
+in recency order, like an MLC set or a directory set: a fill inserts its
+address at the end, and a hit that leaves its line resident moves the
+address to the end (under LRU and the RRIP family; NRU keeps no recency,
+so its sets stay in fill order).  The first key is therefore the least
+recent line, and lines carry no recency stamp.
+
+Victim selection lives in the replacement policies
+(:mod:`repro.cache.replacement`), which pick victims only among an
+*allowed* subset of ways — that is how both CAT way masks (CPU fills) and
+the DDIO way mask (DMA fills) are enforced.  LRU needs nothing but the
+set's own order, so its choice is :meth:`WaySet.lru_way`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.cache.line import LlcLine
 
@@ -23,22 +31,40 @@ class WaySet:
         self.slots: list[Optional[LlcLine]] = [None] * ways
         self.index: dict[int, LlcLine] = {}
 
-    def lookup(self, addr: int) -> Optional[LlcLine]:
-        return self.index.get(addr)
-
-    def install(self, line: LlcLine, way: int) -> None:
-        """Place ``line`` into ``way`` (the slot must be empty)."""
-        if self.slots[way] is not None:
-            raise ValueError(f"way {way} is occupied")
-        line.way = way
-        self.slots[way] = line
-        self.index[line.addr] = line
-
     def remove(self, line: LlcLine) -> None:
         if self.slots[line.way] is not line:
             raise ValueError("line is not resident where it claims to be")
         self.slots[line.way] = None
         del self.index[line.addr]
+
+    def touch(self, line: LlcLine) -> None:
+        """Make resident ``line`` the most recent line of the set."""
+        index = self.index
+        del index[line.addr]
+        index[line.addr] = line
+
+    def empty_way(self, allowed: Sequence[int]) -> int:
+        """The first way of ``allowed`` whose slot is empty, or -1."""
+        slots = self.slots
+        if len(self.index) < len(slots):
+            for way in allowed:
+                if slots[way] is None:
+                    return way
+        return -1
+
+    def lru_way(self, allowed: Sequence[int]) -> int:
+        """The way an LRU fill into ``allowed`` takes: the first empty one,
+        else that of the least recent line in ``allowed``.  (The hole scan
+        is :meth:`empty_way`'s, inlined: this runs once per LRU fill.)"""
+        slots = self.slots
+        if len(self.index) < len(slots):
+            for way in allowed:
+                if slots[way] is None:
+                    return way
+        for line in self.index.values():
+            if line.way in allowed:
+                return line.way
+        raise ValueError("no candidate ways for victim selection")
 
     def occupants(self) -> Iterable[LlcLine]:
         return (line for line in self.slots if line is not None)

@@ -67,8 +67,8 @@ def build_hierarchy(spec, llc_overrides=None, **cfg_overrides):
 
 
 def llc_state(hierarchy):
-    """Every LLC set's lines in recency order (least recent first), each
-    with its holders: its address's directory mask."""
+    """Every LLC set's lines in key order, which is recency order (least
+    recent first), each with its holders: its address's directory mask."""
     holders = hierarchy.sf.holders
     return [
         [
@@ -81,7 +81,7 @@ def llc_state(hierarchy):
                 line.consumed,
                 tuple(holder_cores(holders(line.addr))),
             )
-            for line in sorted(wayset.index.values(), key=lambda l: l.lru)
+            for line in wayset.index.values()
         ]
         for wayset in hierarchy.llc._sets
     ]
@@ -401,8 +401,6 @@ def test_parity_non_lru_policy_falls_back():
         apply_ops(hierarchy, cat, ops, per_line)
         return full_state(hierarchy, bank)
 
-    # RRIP lines have no meaningful ``lru`` tick; states still compare
-    # because both runs use the same policy.
     assert run_rrip(True) == run_rrip(False)
 
 

@@ -108,6 +108,6 @@ def test_touch_refreshes_recency():
     llc = make(sets=1)
     line0, _ = llc.allocate(0, "s", allowed_ways=(3, 4))
     llc.allocate(1, "s", allowed_ways=(3, 4))
-    llc.touch(line0)
+    llc._sets[0].touch(line0)
     _, victim = llc.allocate(2, "s", allowed_ways=(3, 4))
     assert victim.addr == 1

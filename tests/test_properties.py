@@ -62,7 +62,7 @@ def test_hierarchy_structural_invariants(ops):
         assert line.addr not in seen
         seen.add(line.addr)
         # (2) every resident line is indexed where it claims to be
-        wayset = hierarchy.llc.set_of(line.addr)
+        wayset = hierarchy.llc._sets[line.addr % hierarchy.llc.cfg.sets]
         assert wayset.slots[line.way] is line
         # (3) inclusive lines (their address has holders) only in
         # inclusive ways

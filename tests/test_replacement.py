@@ -12,16 +12,21 @@ from repro.cache.replacement import (
     SrripPolicy,
     make_policy,
 )
+from repro.cache.sets import WaySet
+
+ALL = (0, 1, 2, 3)
 
 
-def fill_slots(n, ways=4):
-    slots = [None] * ways
+def fill_set(n, ways=4):
+    """A set whose ways 0..n-1 hold lines 0..n-1, filled in that order."""
+    wayset = WaySet(ways)
     lines = []
     for i in range(n):
         line = LlcLine(addr=i, stream="s", way=i)
-        slots[i] = line
+        wayset.slots[i] = line
+        wayset.index[i] = line
         lines.append(line)
-    return slots, lines
+    return wayset, lines
 
 
 def test_factory():
@@ -36,54 +41,55 @@ def test_factory():
 def test_empty_way_always_preferred():
     for name in ("lru", "srrip", "brrip", "nru"):
         policy = make_policy(name)
-        slots, lines = fill_slots(2, ways=4)
+        wayset, lines = fill_set(2, ways=4)
         for line in lines:
             policy.on_fill(line)
-        assert policy.victim_way(slots, allowed=range(4)) in (2, 3)
+        assert policy.victim_way(wayset, allowed=ALL) in (2, 3)
 
 
 def test_victim_respects_allowed_set():
     for name in ("lru", "srrip", "brrip", "nru"):
         policy = make_policy(name)
-        slots, lines = fill_slots(4, ways=4)
+        wayset, lines = fill_set(4, ways=4)
         for line in lines:
             policy.on_fill(line)
-        assert policy.victim_way(slots, allowed=(1, 2)) in (1, 2)
+        assert policy.victim_way(wayset, allowed=(1, 2)) in (1, 2)
 
 
 def test_no_candidates_raises():
-    policy = make_policy("lru")
-    slots, _ = fill_slots(2)
-    with pytest.raises(ValueError):
-        policy.victim_way(slots, allowed=(0,), exclude=(0,))
+    for name in ("lru", "srrip", "nru"):
+        policy = make_policy(name)
+        wayset, _ = fill_set(2)
+        with pytest.raises(ValueError):
+            policy.victim_way(wayset, allowed=())
 
 
 def test_lru_evicts_least_recent():
     policy = LruPolicy()
-    slots, lines = fill_slots(4)
+    wayset, lines = fill_set(4)
     for line in lines:
         policy.on_fill(line)
-    policy.on_hit(lines[0])
-    assert policy.victim_way(slots, allowed=range(4)) == 1
+    policy.on_hit(wayset, lines[0])
+    assert policy.victim_way(wayset, allowed=ALL) == 1
 
 
 def test_srrip_protects_rereferenced_lines():
     policy = SrripPolicy()
-    slots, lines = fill_slots(4)
+    wayset, lines = fill_set(4)
     for line in lines:
         policy.on_fill(line)
-    policy.on_hit(lines[2])  # rrpv -> 0
-    victim = policy.victim_way(slots, allowed=range(4))
+    policy.on_hit(wayset, lines[2])  # rrpv -> 0
+    victim = policy.victim_way(wayset, allowed=ALL)
     assert victim != 2
 
 
 def test_srrip_ages_until_distant_line_exists():
     policy = SrripPolicy()
-    slots, lines = fill_slots(4)
+    wayset, lines = fill_set(4)
     for line in lines:
         policy.on_fill(line)
-        policy.on_hit(line)  # all rrpv 0
-    victim = policy.victim_way(slots, allowed=range(4))
+        policy.on_hit(wayset, line)  # all rrpv 0
+    victim = policy.victim_way(wayset, allowed=ALL)
     assert victim in range(4)
     # Ageing must have raised everyone to max rrpv.
     assert all(line.meta["rrpv"] == policy.max_rrpv for line in lines)
@@ -91,7 +97,7 @@ def test_srrip_ages_until_distant_line_exists():
 
 def test_brrip_mostly_inserts_distant():
     policy = BrripPolicy(long_interval=32)
-    slots, lines = fill_slots(4)
+    _, lines = fill_set(4)
     distant = 0
     for line in lines:
         policy.on_fill(line)
@@ -102,10 +108,10 @@ def test_brrip_mostly_inserts_distant():
 
 def test_nru_clears_bits_when_all_recent():
     policy = NruPolicy()
-    slots, lines = fill_slots(4)
+    wayset, lines = fill_set(4)
     for line in lines:
         policy.on_fill(line)
-    victim = policy.victim_way(slots, allowed=range(4))
+    victim = policy.victim_way(wayset, allowed=ALL)
     assert victim == 0  # all recent -> bits cleared, first candidate
     # Bits cleared for everyone else now.
     assert all(line.meta["nru"] == 0 for line in lines)
@@ -123,17 +129,14 @@ def test_deadblock_marks_consumed_io_lines_distant():
 
 def test_deadblock_evicts_bloat_before_live_lines():
     policy = DeadBlockHintPolicy()
-    slots = [None] * 4
-    live = []
-    for i in range(3):
-        line = LlcLine(addr=i, stream="app", way=i)
+    wayset, live = fill_set(3)
+    for line in live:
         policy.on_fill(line)
-        slots[i] = line
-        live.append(line)
     bloat = LlcLine(addr=9, stream="io", way=3, io=True, consumed=True)
     policy.on_fill(bloat)
-    slots[3] = bloat
-    assert policy.victim_way(slots, allowed=range(4)) == 3
+    wayset.slots[3] = bloat
+    wayset.index[9] = bloat
+    assert policy.victim_way(wayset, allowed=ALL) == 3
 
 
 def test_deadblock_available_from_factory():

@@ -16,32 +16,43 @@ def _line(addr, way=0):
     return LlcLine(addr=addr, stream="s", way=way)
 
 
+def _place(ws, line, way):
+    """Fill ``line`` into empty ``way`` as the LLC's fills do: slot, then
+    index (at the end: the most recent line)."""
+    line.way = way
+    ws.slots[way] = line
+    ws.index[line.addr] = line
+
+
 # -- WaySet ----------------------------------------------------------------
 
 
 def test_install_lookup_remove_round_trip():
     ws = WaySet(4)
     line = _line(0x10)
-    ws.install(line, 2)
-    assert line.way == 2
+    _place(ws, line, 2)
     assert ws.slots[2] is line
-    assert ws.lookup(0x10) is line
+    assert ws.index.get(0x10) is line
     ws.remove(line)
     assert ws.slots[2] is None
-    assert ws.lookup(0x10) is None
+    assert ws.index.get(0x10) is None
     assert list(ws.occupants()) == []
 
 
 def test_install_into_occupied_way_raises():
+    """A fill never lands on an occupied way while an allowed way is
+    empty, and with no allowed way at all there is nothing to fill."""
     ws = WaySet(2)
-    ws.install(_line(0x10), 1)
+    _place(ws, _line(0x10), 1)
+    assert ws.lru_way((1, 0)) == 0
+    assert ws.empty_way((1,)) == -1
     with pytest.raises(ValueError):
-        ws.install(_line(0x20), 1)
+        ws.lru_way(())
 
 
 def test_remove_nonresident_line_raises():
     ws = WaySet(2)
-    ws.install(_line(0x10), 0)
+    _place(ws, _line(0x10), 0)
     stranger = _line(0x20, way=0)  # claims way 0 but was never installed
     with pytest.raises(ValueError):
         ws.remove(stranger)
@@ -51,7 +62,7 @@ def test_index_tracks_slots_exactly():
     ws = WaySet(8)
     lines = [_line(0x100 + i) for i in range(5)]
     for i, line in enumerate(lines):
-        ws.install(line, i)
+        _place(ws, line, i)
     assert set(ws.index) == {line.addr for line in lines}
     assert list(ws.occupants()) == lines
     ws.remove(lines[2])
@@ -66,11 +77,25 @@ def test_index_tracks_slots_exactly():
 def test_reinstall_after_remove():
     ws = WaySet(2)
     line = _line(0x10)
-    ws.install(line, 0)
+    _place(ws, line, 0)
     ws.remove(line)
-    ws.install(line, 1)
+    _place(ws, line, 1)
     assert line.way == 1
-    assert ws.lookup(0x10) is line
+    assert ws.index.get(0x10) is line
+
+
+def test_lru_way_follows_key_order():
+    """The victim is the first line in key order whose way is allowed; a
+    touch makes a line the most recent."""
+    ws = WaySet(4)
+    lines = [_line(0x100 + i) for i in range(4)]
+    for way in (2, 0, 3, 1):
+        _place(ws, lines[way], way)
+    assert ws.lru_way((0, 1, 2, 3)) == 2
+    assert ws.lru_way((1, 3)) == 3
+    ws.touch(lines[2])
+    assert list(ws.index) == [0x100, 0x103, 0x101, 0x102]
+    assert ws.lru_way((1, 2)) == 1
 
 
 # -- closed __slots__ records ----------------------------------------------
