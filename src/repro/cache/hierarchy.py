@@ -185,10 +185,9 @@ class CacheHierarchy:
         self._inclusive_ways = cfg.llc.inclusive_ways
         self._llc_lru = type(self.llc.policy) is LruPolicy
         # LRU fast path: under plain LRU (the default) a hit is a move to
-        # the end of its LLC set's index and a victim is the set's
-        # ``lru_way``, which the hot paths inline instead of dispatching
-        # through the policy; and a dead record (its policy metadata
-        # empty) can be reused.
+        # the end of its LLC set's index, and the hot paths inline
+        # LruPolicy.victim_way instead of dispatching through the policy;
+        # and a dead record (its policy metadata empty) can be reused.
         # Spec-derived scalar snapshots (constants for this instance).
         self._mlc_hit_cycles = cfg.mlc_hit_cycles
         self._llc_hit_cycles = cfg.llc_hit_cycles
@@ -296,9 +295,9 @@ class CacheHierarchy:
                 if migrate and not lru:
                     self._make_inclusive(now, llc_line)
                 elif migrate:
-                    # Inlined LastLevelCache.migrate_to_inclusive (LRU fast
-                    # path, WaySet.lru_way inlined too): the line keeps its
-                    # index entry, only its slot and way change.
+                    # Inlined LastLevelCache.migrate_to_inclusive and
+                    # LruPolicy.victim_way (LRU fast path): the line keeps
+                    # its index entry, only its slot and way change.
                     slots = wayset.slots
                     ways = self._inclusive_ways
                     way = -1
@@ -563,7 +562,7 @@ class CacheHierarchy:
                         continue
                     held = victim.addr in sf_bucket
                 else:
-                    # Inlined LastLevelCache.allocate and WaySet.lru_way
+                    # Inlined LastLevelCache.allocate and LruPolicy.victim_way
                     # (LRU fast path); the lookup above proved ``addr`` is
                     # not resident.
                     slots = wayset.slots
@@ -830,8 +829,8 @@ class CacheHierarchy:
             if victim is not None:
                 self._dispose_victim(now, victim)
             return
-        # Inlined LastLevelCache.allocate and WaySet.lru_way (LRU fast
-        # path); the lookup above proved ``addr`` is not resident, and
+        # Inlined LastLevelCache.allocate and LruPolicy.victim_way (LRU
+        # fast path); the lookup above proved ``addr`` is not resident, and
         # ``wayset`` is reused from it.
         slots = wayset.slots
         way = -1

@@ -57,7 +57,9 @@ class ReplacementPolicy(abc.ABC):
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used: the set's index order is the whole state."""
+    """Least-recently-used: the set's index order is the whole state.
+    :class:`~repro.cache.hierarchy.CacheHierarchy` inlines this policy on
+    its hot paths."""
 
     name = "lru"
 
@@ -68,7 +70,15 @@ class LruPolicy(ReplacementPolicy):
         wayset.touch(line)
 
     def victim_way(self, wayset: WaySet, allowed: Sequence[int]) -> int:
-        return wayset.lru_way(allowed)
+        """The first empty way of ``allowed``, else that of the first line
+        in key order (the least recent) whose way is allowed."""
+        way = wayset.empty_way(allowed)
+        if way >= 0:
+            return way
+        for line in wayset.index.values():
+            if line.way in allowed:
+                return line.way
+        raise ValueError("no candidate ways for victim selection")
 
 
 class _RripBase(ReplacementPolicy):

@@ -11,8 +11,7 @@ recent line, and lines carry no recency stamp.
 Victim selection lives in the replacement policies
 (:mod:`repro.cache.replacement`), which pick victims only among an
 *allowed* subset of ways — that is how both CAT way masks (CPU fills) and
-the DDIO way mask (DMA fills) are enforced.  LRU needs nothing but the
-set's own order, so its choice is :meth:`WaySet.lru_way`.
+the DDIO way mask (DMA fills) are enforced.
 """
 
 from __future__ import annotations
@@ -51,20 +50,6 @@ class WaySet:
                 if slots[way] is None:
                     return way
         return -1
-
-    def lru_way(self, allowed: Sequence[int]) -> int:
-        """The way an LRU fill into ``allowed`` takes: the first empty one,
-        else that of the least recent line in ``allowed``.  (The hole scan
-        is :meth:`empty_way`'s, inlined: this runs once per LRU fill.)"""
-        slots = self.slots
-        if len(self.index) < len(slots):
-            for way in allowed:
-                if slots[way] is None:
-                    return way
-        for line in self.index.values():
-            if line.way in allowed:
-                return line.way
-        raise ValueError("no candidate ways for victim selection")
 
     def occupants(self) -> Iterable[LlcLine]:
         return (line for line in self.slots if line is not None)

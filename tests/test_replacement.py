@@ -73,6 +73,21 @@ def test_lru_evicts_least_recent():
     assert policy.victim_way(wayset, allowed=ALL) == 1
 
 
+def test_lru_victim_follows_key_order():
+    """The victim is the first line in key order whose way is allowed, not
+    the lowest allowed way; a hit makes a line the most recent."""
+    policy = LruPolicy()
+    wayset = WaySet(4)
+    lines = [LlcLine(addr=way, stream="s", way=way) for way in range(4)]
+    for way in (2, 0, 3, 1):
+        wayset.slots[way] = wayset.index[way] = lines[way]
+    assert policy.victim_way(wayset, allowed=ALL) == 2
+    assert policy.victim_way(wayset, allowed=(1, 3)) == 3
+    policy.on_hit(wayset, lines[2])
+    assert list(wayset.index) == [0, 3, 1, 2]
+    assert policy.victim_way(wayset, allowed=(1, 2)) == 1
+
+
 def test_srrip_protects_rereferenced_lines():
     policy = SrripPolicy()
     wayset, lines = fill_set(4)

@@ -8,6 +8,7 @@ directly, so these invariants are what that code relies on.
 import pytest
 
 from repro.cache.line import LlcLine, MlcLine
+from repro.cache.replacement import LruPolicy
 from repro.cache.sets import WaySet
 from repro.telemetry.counters import COUNTER_FIELDS, StreamCounters
 
@@ -44,10 +45,10 @@ def test_install_into_occupied_way_raises():
     empty, and with no allowed way at all there is nothing to fill."""
     ws = WaySet(2)
     _place(ws, _line(0x10), 1)
-    assert ws.lru_way((1, 0)) == 0
+    assert ws.empty_way((1, 0)) == 0
     assert ws.empty_way((1,)) == -1
     with pytest.raises(ValueError):
-        ws.lru_way(())
+        LruPolicy().victim_way(ws, ())
 
 
 def test_remove_nonresident_line_raises():
@@ -82,20 +83,6 @@ def test_reinstall_after_remove():
     _place(ws, line, 1)
     assert line.way == 1
     assert ws.index.get(0x10) is line
-
-
-def test_lru_way_follows_key_order():
-    """The victim is the first line in key order whose way is allowed; a
-    touch makes a line the most recent."""
-    ws = WaySet(4)
-    lines = [_line(0x100 + i) for i in range(4)]
-    for way in (2, 0, 3, 1):
-        _place(ws, lines[way], way)
-    assert ws.lru_way((0, 1, 2, 3)) == 2
-    assert ws.lru_way((1, 3)) == 3
-    ws.touch(lines[2])
-    assert list(ws.index) == [0x100, 0x103, 0x101, 0x102]
-    assert ws.lru_way((1, 2)) == 1
 
 
 # -- closed __slots__ records ----------------------------------------------
