@@ -32,10 +32,10 @@ def main() -> None:
             agg = result.aggregate(daemon)
             print(f"{daemon:9s} IPC {agg.ipc:.3f} (bursty LPW)")
         if scheme == "a4":
-            print("\nA4 events (detection <-> restoration cycle):")
-            for event in server.manager.events:
-                if "ksm" in event or "zswap" in event:
-                    print(f"  - {event}")
+            print("\nA4 decisions (detection <-> restoration cycle):")
+            for d in server.manager.decisions:
+                if d.inputs.get("workload") in ("ksm", "zswap"):
+                    print(f"  - epoch {d.epoch:>3}  {d.action}: {d.reason}")
             csv_text = trace.to_csv(
                 result.samples, metrics=("ipc", "llc_hit_rate", "mlc_miss_rate")
             )

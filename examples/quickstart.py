@@ -40,8 +40,8 @@ def main() -> None:
         print(result.summary())
         if scheme == "a4":
             print("\nA4 decision log:")
-            for event in server.manager.events:
-                print(f"  - {event}")
+            for d in server.manager.decisions:
+                print(f"  - epoch {d.epoch:>3}  {d.action}: {d.reason}")
             print("\nfinal CAT masks:")
             for workload in server.workloads:
                 ways = server.cat.mask(server.clos_of(workload.name))

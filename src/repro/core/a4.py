@@ -97,26 +97,10 @@ class A4Manager(LlcManager):
         self.bloat_treated: set = set()
         """Network workloads under the §1 network-bloat extension: their CAT
         mask points at the trash ways (affecting only their MLC evictions)."""
-        self.events: List[str] = []
-        """Human-readable decision log (for tests and examples)."""
-        self._epoch_index = -1
-        """Raw index of the sample being handled (audit-trail epoch tag)."""
 
     # ------------------------------------------------------------------
     # Observability plumbing
     # ------------------------------------------------------------------
-
-    def _audit(
-        self, action: str, reason: str, inputs: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Record a decision with its evidence when the audit trail is on.
-
-        Inputs must stay JSON-round-trippable — they ride along into the
-        tracer's ``decision`` events and out through the JSONL export."""
-        if obsv.AUDIT is not None:
-            obsv.AUDIT.record(
-                action, reason, inputs=inputs, epoch=self._epoch_index
-            )
 
     def _set_phase(self, phase: str) -> None:
         """FSM transition; emits one ``phase`` trace event per change."""
@@ -175,8 +159,7 @@ class A4Manager(LlcManager):
         if self.watchdog.degraded:
             # A new workload combination voids the oscillation evidence.
             self.watchdog.reset()
-            self.events.append("watchdog: degraded mode cleared (workload change)")
-            self._audit(
+            self._decide(
                 "degraded_exit",
                 "workload change voids oscillation evidence",
                 {"live_workloads": sorted(live)},
@@ -189,8 +172,8 @@ class A4Manager(LlcManager):
     def _begin_reallocation(
         self,
         reason: str,
+        inputs: Dict[str, Any],
         counted: bool = False,
-        inputs: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Apply the initial partitions and restart the state machine.
 
@@ -198,14 +181,13 @@ class A4Manager(LlcManager):
         oscillation watchdog guards against); structural ones — attach,
         launch/termination, antagonist detection — are exempt.
         ``inputs`` is the evidence behind the decision (the telemetry
-        values and thresholds the caller compared), audited alongside.
+        values and thresholds the caller compared), recorded alongside.
         """
         if counted and self.watchdog.note_reallocation():
             self._enter_degraded(reason, inputs)
             return
         self.reallocations += 1
-        self.events.append(f"reallocate: {reason}")
-        self._audit("reallocate", reason, inputs)
+        self._decide("reallocate", reason, inputs)
         self.layout.io_hpw_present = self._io_hpw_present()
         self.layout.reset_lp()
         self.baseline_hits = {}
@@ -235,14 +217,11 @@ class A4Manager(LlcManager):
                 first, last = self.layout.io_hpw_span()
             self.set_ways(workload.name, first, last)
 
-    def _enter_degraded(
-        self, reason: str, inputs: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def _enter_degraded(self, reason: str, inputs: Dict[str, Any]) -> None:
         """Oscillation watchdog tripped: pin the safe static layout (the
         initial partitions, Isolate-style) for the cooldown window."""
         self._set_phase(PHASE_DEGRADED)
-        self.events.append(f"watchdog: oscillation ({reason}); pin static layout")
-        audit_inputs = {
+        evidence = {
             "trigger": reason,
             "reallocations_in_window": self.watchdog.reallocations_in_window,
             "watchdog": {
@@ -252,11 +231,11 @@ class A4Manager(LlcManager):
             },
         }
         if inputs:
-            audit_inputs["trigger_inputs"] = inputs
-        self._audit(
+            evidence["trigger_inputs"] = inputs
+        self._decide(
             "degraded_enter",
             "oscillation watchdog tripped; pin static layout",
-            audit_inputs,
+            evidence,
         )
         self.layout.io_hpw_present = self._io_hpw_present()
         self.layout.reset_lp()
@@ -281,8 +260,7 @@ class A4Manager(LlcManager):
         sample = view
 
         if self.watchdog.note_epoch():
-            self.events.append("watchdog: cooldown complete; reallocating")
-            self._audit(
+            self._decide(
                 "degraded_exit",
                 "watchdog cooldown complete",
                 {
@@ -344,38 +322,63 @@ class A4Manager(LlcManager):
             if stream is not None:
                 self.baseline_hits[workload.name] = stream.llc_hit_rate
 
-    def _hpw_degraded(self, sample: EpochSample) -> bool:
+    def _t1_crossings(
+        self, sample: EpochSample
+    ) -> Dict[str, Dict[str, float]]:
+        """HPWs whose LLC hit rate dropped beyond T1 of their baseline,
+        each with its baseline and current hit rate."""
+        crossed: Dict[str, Dict[str, float]] = {}
         for workload in self._hpws():
             stream = sample.streams.get(workload.name)
             baseline = self.baseline_hits.get(workload.name, 0.0)
             if stream is not None and detectors.hpw_hit_rate_degraded(
                 self.policy, baseline, stream.llc_hit_rate
             ):
-                return True
-        return False
+                crossed[workload.name] = {
+                    "baseline_hit_rate": baseline,
+                    "hit_rate": stream.llc_hit_rate,
+                }
+        return crossed
 
     def _expand_step(self, sample: EpochSample) -> None:
         self._epochs_in_phase += 1
         if self._epochs_in_phase % self.policy.expand_interval:
             return
-        if self._hpw_degraded(sample):
+        crossed = self._t1_crossings(sample)
+        if crossed:
             # The last expansion hurt an HPW: roll it back and settle.
             if self.layout.lp_left < self.layout.initial_lp_left:
                 self.layout.contract()
                 self._apply_layout()
-            self._enter_stable()
+            self._enter_stable(
+                "HPW hit rate dropped beyond T1",
+                {
+                    "crossed": crossed,
+                    "hpw_llc_hit_thr": self.policy.hpw_llc_hit_thr,
+                },
+            )
             return
         if self.layout.can_expand():
             self.layout.expand()
-            self.events.append(f"LP zone expands to way{self.layout.lp_span()}")
+            first, last = self.layout.lp_span()
+            self._decide(
+                "expand",
+                f"HPW hit rates within T1; LP zone to way[{first}:{last}]",
+                {"lp_span": [first, last]},
+            )
             self._apply_layout()
         else:
-            self._enter_stable()
+            self._enter_stable("leftmost LP extent reached", {})
 
-    def _enter_stable(self) -> None:
+    def _enter_stable(self, why: str, inputs: Dict[str, Any]) -> None:
+        """Stop expanding: ``why`` and ``inputs`` say what stopped it."""
         self._set_phase(PHASE_STABLE)
         self._stable_epochs = 0
-        self.events.append(f"stable at LP zone way{self.layout.lp_span()}")
+        first, last = self.layout.lp_span()
+        inputs["lp_span"] = [first, last]
+        self._decide(
+            "stable", f"{why}; LP zone stable at way[{first}:{last}]", inputs
+        )
 
     # ------------------------------------------------------------------
     # Stable phase, periodic revert (§5.6)
@@ -422,8 +425,7 @@ class A4Manager(LlcManager):
         self._apply_layout()
         self._set_phase(PHASE_REVERTING)
         self._epochs_in_phase = 0
-        self.events.append("revert to initial partitions")
-        self._audit(
+        self._decide(
             "revert",
             "periodic revert to measure attainable hit rates",
             {
@@ -463,7 +465,7 @@ class A4Manager(LlcManager):
                 },
             )
             return
-        self._audit(
+        self._decide(
             "revert_verdict",
             "attainable within T1 of stable; restoring stable allocation",
             {"restored_lp_left": self._saved_lp_left},
@@ -504,8 +506,7 @@ class A4Manager(LlcManager):
                 self.demoted.add(workload.name)
                 if workload.port_id is not None:
                     self.set_port_dca(workload.port_id, enabled=False)
-                self.events.append(f"disable DCA for {workload.name} (DMA leak)")
-                self._audit(
+                self._decide(
                     "detect_storage",
                     f"{workload.name}: DMA leak (T2/T3/T4); DCA off, demote",
                     {
@@ -548,8 +549,7 @@ class A4Manager(LlcManager):
                     ),
                 )
                 self.demoted.add(workload.name)
-                self.events.append(f"{workload.name} detected as non-I/O antagonist")
-                self._audit(
+                self._decide(
                     "detect_cpu",
                     f"{workload.name}: non-I/O antagonist (T5); pseudo bypass",
                     {
@@ -591,10 +591,7 @@ class A4Manager(LlcManager):
                     )
                     state.settled = True
                     self._apply_layout()
-                    self.events.append(
-                        f"bypass of {state.name} halted (instability)"
-                    )
-                    self._audit(
+                    self._decide(
                         "bypass_halt",
                         f"{state.name}: >10% instability; undo last squeeze",
                         {
@@ -631,10 +628,7 @@ class A4Manager(LlcManager):
             if workload.name not in self.bloat_treated:
                 if rate > self.policy.net_bloat_thr:
                     self.bloat_treated.add(workload.name)
-                    self.events.append(
-                        f"{workload.name}: network DMA bloat -> trash ways"
-                    )
-                    self._audit(
+                    self._decide(
                         "bloat_treat",
                         f"{workload.name}: DMA bloat above threshold",
                         {
@@ -646,8 +640,7 @@ class A4Manager(LlcManager):
                     self._apply_layout()
             elif rate < self.policy.net_bloat_thr / 2:
                 self.bloat_treated.discard(workload.name)
-                self.events.append(f"{workload.name}: bloat subsided, restored")
-                self._audit(
+                self._decide(
                     "bloat_restore",
                     f"{workload.name}: bloat subsided below half threshold",
                     {
@@ -672,8 +665,7 @@ class A4Manager(LlcManager):
                 workload = self.server.workload(name)
                 if state.kind == "storage" and workload.port_id is not None:
                     self.set_port_dca(workload.port_id, enabled=True)
-                self.events.append(f"restore {name} (phase change ended)")
-                self._audit(
+                self._decide(
                     "restore",
                     f"{name}: antagonistic phase ended; original treatment",
                     {

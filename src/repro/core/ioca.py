@@ -69,7 +69,8 @@ class IocaManager(LlcManager):
         self.streak = 0
         self.cooldown_left = 0
         self.transitions: List[Tuple[str, str]] = []
-        """(from_state, to_state) log, for tests and the audit trail."""
+        """(from_state, to_state) log of the feedback FSM, for tests; the
+        way moves it fires are :attr:`decisions` (``ioca_adjust``)."""
         self.adjustments = 0
         # Partition layout.
         self._order: List[str] = []
@@ -187,6 +188,7 @@ class IocaManager(LlcManager):
         return scores
 
     def on_epoch(self, sample: EpochSample) -> None:
+        self._epoch_index = sample.index
         self.retry_pending()
         scores = self._pressure(sample)
         if not self.fsm_step(bool(scores)):
@@ -199,12 +201,16 @@ class IocaManager(LlcManager):
         self._spans[victim] += 1
         self.adjustments += 1
         self._apply_layout()
-        if obsv.TRACER is not None:
-            obsv.TRACER.emit(
-                obsv.KIND_TENANT,
-                "ioca_adjust",
-                {"to": victim, "from": donor, "score": scores[victim]},
-            )
+        self._decide(
+            "ioca_adjust",
+            f"{victim}: sustained SLO pressure; one way from {donor}",
+            {
+                "victim": victim,
+                "donor": donor,
+                "score": scores[victim],
+                "spans": dict(self._spans),
+            },
+        )
 
     def _donor(self, victim: str) -> Optional[str]:
         """Widest best-effort tenant still above ``min_ways`` (falling back

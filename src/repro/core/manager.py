@@ -13,14 +13,22 @@ epoch with doubling backoff via :meth:`retry_pending`.  Permanent errors
 (an actually invalid mask) are caller bugs and propagate unchanged.  On a
 failed write the previously committed state stays active, so the hardware
 invariant — every CLOS mask valid at all times — holds regardless.
+
+Every consequential controller action goes through :meth:`LlcManager._decide`
+into :attr:`LlcManager.decisions`: *when* (the index of the sample being
+handled), *what* (the action), *why* (the reason) and *on what evidence*
+(the telemetry values and thresholds compared).  With tracing on, each
+decision is also a ``decision`` trace event, so a JSONL trace carries the
+same list and ``tools/obsv.py explain-epoch`` works from the file alone.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro import obsv
+from repro.obsv.audit import Decision
 from repro.rdt.cat import TransientClosError
 from repro.telemetry.pcm import EpochSample
 from repro.uncore.pcie import TransientPortError
@@ -56,6 +64,29 @@ class LlcManager(abc.ABC):
         """name -> [first, last, epochs_until_retry, current_interval]"""
         self._pending_dca: Dict[int, List[int]] = {}
         """port_id -> [enabled, epochs_until_retry, current_interval]"""
+        self.decisions: List[Decision] = []
+        """Every controller decision with its evidence, in the order taken."""
+        self._epoch_index = -1
+        """Index of the sample being handled (-1 before the first epoch):
+        the epoch tag of :attr:`decisions`."""
+
+    def _decide(
+        self, action: str, reason: str, inputs: Dict[str, Any]
+    ) -> None:
+        """Record one decision; mirror it as a ``decision`` trace event
+        when tracing is on.
+
+        ``inputs`` must stay JSON-round-trippable — it rides along into
+        the trace event and out through the JSONL export."""
+        self.decisions.append(
+            Decision(self._epoch_index, action, reason, inputs)
+        )
+        if obsv.TRACER is not None:
+            obsv.TRACER.emit(
+                obsv.KIND_DECISION,
+                action,
+                {"reason": reason, "inputs": inputs},
+            )
 
     def _trace_control(self, name: str, **data) -> None:
         """Control-plane incident (parked / recovered apply) trace event."""

@@ -141,7 +141,6 @@ class Server:
         self._clos[workload.name] = clos
         for core in workload.cores:
             self.cat.associate(core, clos)
-        self.cat.label(clos, workload.tenant.name)
         self.workloads.append(workload)
         self.pcm.register(workload.info())
         if obsv.TRACER is not None:
@@ -229,8 +228,6 @@ class Server:
                 self.platform.name,
                 self.platform.fingerprint(),
             )
-            if obsv.AUDIT is not None:
-                obsv.AUDIT.platform = self.platform.token
         return (faults, tracer, profiler)
 
     def _run_epoch(self, ctx) -> EpochSample:

@@ -84,7 +84,6 @@ class ChaosResult:
     faults: Dict[str, int] = field(default_factory=dict)
     robustness: Dict[str, int] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
-    events: int = 0
     label: str = ""
 
     @property
@@ -142,7 +141,6 @@ def run_chaos(
         faults=counts_of(faults) if faults is not None else {},
         robustness=result.robustness(),
         violations=violations,
-        events=len(server.manager.events),
         label=label,
     )
 

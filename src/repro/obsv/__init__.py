@@ -1,27 +1,25 @@
-"""Zero-cost-when-off observability: tracing, audit, profiling.
+"""Zero-cost-when-off observability: tracing and profiling.
 
-The layer is two cooperating pieces plus a profiler, all process-global
-and **off by default**:
+The layer is a tracer and a profiler, both process-global and **off by
+default**:
 
 * :data:`TRACER` — a bounded ring buffer of typed :class:`TraceEvent`\\ s
   (epoch boundaries, CLOS mask writes, DCA toggles, controller phase
-  transitions, fault injections, cache-zone resizes), exported to JSONL
-  and Chrome ``chrome://tracing`` trace-event JSON
-  (:mod:`repro.obsv.export`).
-* :data:`AUDIT` — the controller decision audit trail: every A4
-  reallocation / degrade / detection / restoration records its inputs
-  (the sanitized telemetry values and the thresholds crossed) and the
-  chosen action.  Decisions mirror into the tracer as ``decision``
-  events, so one JSONL file carries the whole story and
-  ``tools/obsv.py explain-epoch`` can replay it post-run.
+  transitions, fault injections, cache-zone resizes, controller
+  decisions), exported to JSONL and Chrome ``chrome://tracing``
+  trace-event JSON (:mod:`repro.obsv.export`).
 * :data:`PROFILER` — per-phase wall/cycle/event attribution recorded by
   :meth:`repro.sim.engine.Simulator.run_until` (see
   :mod:`repro.obsv.profile`).
 
 Every emit site in the simulator, controller, and fault layer is guarded
-by a single ``obsv.TRACER is not None`` (or ``obsv.AUDIT``/``profiler``)
-check: with the layer disabled no event objects are built, no dicts are
-allocated, and runs are bit-identical to a tree without the layer.
+by a single ``obsv.TRACER is not None`` (or ``profiler``) check: with the
+layer disabled no event objects are built, no dicts are allocated, and
+runs are bit-identical to a tree without the layer.  Controller decisions
+are recorded whether or not the layer is on — each manager keeps its own
+``decisions`` list (:mod:`repro.obsv.audit`) and mirrors every entry as a
+``decision`` trace event while tracing, so one JSONL file carries the
+whole story and ``tools/obsv.py explain-epoch`` can replay it post-run.
 Enable with :func:`enable` (or ``--trace`` / ``--metrics-out`` on the
 figures CLI), tear down with :func:`disable`.  :mod:`repro.obsv.counts`
 holds the stats-dict merge helpers the run cache and chaos sweep share.
@@ -32,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.obsv.audit import AuditTrail, Decision
+from repro.obsv.audit import Decision
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import (
     KIND_CHECKPOINT,
@@ -55,33 +53,27 @@ from repro.obsv.tracer import (
 TRACER: Optional[Tracer] = None
 """The process-wide event tracer; ``None`` while observability is off."""
 
-AUDIT: Optional[AuditTrail] = None
-"""The process-wide decision audit trail; ``None`` while off."""
-
 PROFILER: Optional[PhaseProfiler] = None
 """The process-wide engine profiler; ``None`` while off."""
 
 
 def enable(
     capacity: int = Tracer.DEFAULT_CAPACITY,
-    audit_capacity: int = AuditTrail.DEFAULT_CAPACITY,
     profile: bool = True,
 ) -> Tracer:
     """Turn the observability layer on (idempotent: replaces any previous
-    tracer/trail/profiler with fresh, empty ones) and return the tracer."""
-    global TRACER, AUDIT, PROFILER
+    tracer/profiler with fresh, empty ones) and return the tracer."""
+    global TRACER, PROFILER
     _register_at_fork()
     TRACER = Tracer(capacity)
-    AUDIT = AuditTrail(audit_capacity, tracer=TRACER)
     PROFILER = PhaseProfiler() if profile else None
     return TRACER
 
 
 def disable() -> None:
     """Turn the layer off; emit sites go back to their no-op fast path."""
-    global TRACER, AUDIT, PROFILER
+    global TRACER, PROFILER
     TRACER = None
-    AUDIT = None
     PROFILER = None
 
 
@@ -107,8 +99,6 @@ def _register_at_fork() -> None:
 
 
 __all__ = [
-    "AUDIT",
-    "AuditTrail",
     "Decision",
     "KIND_CHECKPOINT",
     "KIND_CONTROL",

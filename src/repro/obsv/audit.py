@@ -1,35 +1,31 @@
-"""The controller decision audit trail.
+"""The controller decision record.
 
-Every consequential A4 action — reallocation, degraded-mode entry/exit,
-antagonist detection, restoration, bypass halt, revert verdict — records a
-:class:`Decision`: *when* (epoch), *what* (action), *why* (reason), and
-*on what evidence* (``inputs``: the sanitized telemetry values the
-controller actually compared, plus the thresholds they crossed).  The
-trail is the answer to "why did the controller do that at epoch N" that
-``repro.core.a4``'s human-readable ``events`` list only gestures at.
+Every consequential controller action — A4's reallocation, LP-zone
+expansion and settling, degraded-mode entry/exit, antagonist detection,
+restoration, bypass halt, revert and its verdict; IOCA's way moves — is
+one :class:`Decision` on the manager's ``decisions`` list
+(:meth:`repro.core.manager.LlcManager._decide`): *when* (epoch), *what*
+(action), *why* (reason), and *on what evidence* (``inputs``: the
+sanitized telemetry values the controller actually compared, plus the
+thresholds they crossed).
 
-Decisions mirror into the tracer as ``decision`` events (same action /
-reason / inputs in ``data``), so a JSONL trace export is self-contained
-and ``tools/obsv.py explain-epoch N`` works from the file alone.
+With tracing on, each decision is also a ``decision`` trace event (same
+action / reason / inputs in ``data``), so a JSONL trace export is
+self-contained and ``tools/obsv.py explain-epoch N`` rebuilds the
+decisions from the file alone.
 
 Action vocabulary (``Decision.action``):
 
-``reallocate``, ``degraded_enter``, ``degraded_exit``, ``detect_storage``,
-``detect_cpu``, ``restore``, ``bypass_halt``, ``revert``,
-``revert_verdict``, ``bloat_treat``, ``bloat_restore``.
+``reallocate``, ``expand``, ``stable``, ``degraded_enter``,
+``degraded_exit``, ``detect_storage``, ``detect_cpu``, ``restore``,
+``bypass_halt``, ``revert``, ``revert_verdict``, ``bloat_treat``,
+``bloat_restore`` (A4); ``ioca_adjust`` (IOCA).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
-
-from repro.obsv.tracer import KIND_DECISION, Tracer
-
-ACTION_REALLOCATE = "reallocate"
-ACTION_DEGRADED_ENTER = "degraded_enter"
-ACTION_DEGRADED_EXIT = "degraded_exit"
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -68,70 +64,3 @@ def _fmt(value: Any) -> str:
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
         return "{" + parts + "}"
     return str(value)
-
-
-class AuditTrail:
-    """Bounded store of :class:`Decision` records, optionally mirrored
-    into a :class:`~repro.obsv.tracer.Tracer`."""
-
-    DEFAULT_CAPACITY = 8192
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        tracer: Optional[Tracer] = None,
-    ):
-        if capacity < 1:
-            raise ValueError("audit capacity must be positive")
-        self.capacity = capacity
-        self.tracer = tracer
-        self.records: Deque[Decision] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.platform: Optional[str] = None
-        """``name@sha`` token of the platform whose decisions this trail
-        audits (set by the harness at run start)."""
-
-    def record(
-        self,
-        action: str,
-        reason: str,
-        inputs: Optional[Dict[str, Any]] = None,
-        epoch: Optional[int] = None,
-    ) -> Decision:
-        if epoch is None:
-            epoch = self.tracer.epoch if self.tracer is not None else -1
-        if len(self.records) == self.capacity:
-            self.dropped += 1
-        decision = Decision(
-            epoch=epoch, action=action, reason=reason, inputs=inputs or {}
-        )
-        self.records.append(decision)
-        if self.tracer is not None:
-            self.tracer.emit(
-                KIND_DECISION,
-                action,
-                {"reason": reason, "inputs": decision.inputs},
-            )
-        return decision
-
-    # -- queries ------------------------------------------------------------
-
-    def decisions(self, action: Optional[str] = None) -> List[Decision]:
-        if action is None:
-            return list(self.records)
-        return [d for d in self.records if d.action == action]
-
-    def for_epoch(self, epoch: int) -> List[Decision]:
-        return [d for d in self.records if d.epoch == epoch]
-
-    def explain(self, epoch: int) -> str:
-        """Render every decision taken at ``epoch`` (or note the absence)."""
-        decisions = self.for_epoch(epoch)
-        if not decisions:
-            return f"epoch {epoch}: no controller decisions recorded"
-        lines = [f"epoch {epoch}: {len(decisions)} decision(s)"]
-        lines.extend(d.describe() for d in decisions)
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -43,7 +43,7 @@ def contiguous_mask(first_way: int, last_way: int) -> Tuple[int, ...]:
 class CacheAllocation:
     """Per-socket CAT state: CLOS masks plus core associations."""
 
-    __slots__ = ("ways", "num_clos", "_masks", "_core_clos", "_clos_tenant")
+    __slots__ = ("ways", "num_clos", "_masks", "_core_clos")
 
     def __init__(self, ways: int = DEFAULT_PLATFORM.llc_ways, num_clos: int = 16):
         if ways > MAX_CBM_BITS:
@@ -55,7 +55,6 @@ class CacheAllocation:
         full = tuple(range(ways))
         self._masks: Dict[int, Tuple[int, ...]] = {c: full for c in range(num_clos)}
         self._core_clos: Dict[int, int] = {}
-        self._clos_tenant: Dict[int, str] = {}
 
     # -- mask management -----------------------------------------------------
 
@@ -110,31 +109,3 @@ class CacheAllocation:
 
     def associations(self) -> Dict[int, int]:
         return dict(self._core_clos)
-
-    # -- tenant accounting -----------------------------------------------------
-    # Real RDT has no notion of tenants — `pqos` just numbers CLOSes — so
-    # operators keep a side table mapping CLOS ids to owners.  This is that
-    # table: pure bookkeeping, consulted by reports and the IOCA baseline,
-    # never by the allocation model itself.
-
-    def label(self, clos: int, tenant: str) -> None:
-        """Record that ``clos`` is owned by ``tenant`` (bookkeeping only)."""
-        self._validate_clos(clos)
-        self._clos_tenant[clos] = tenant
-
-    def tenant_of(self, clos: int) -> str:
-        """Owner label of ``clos`` (empty string when unlabeled)."""
-        self._validate_clos(clos)
-        return self._clos_tenant.get(clos, "")
-
-    def labels(self) -> Dict[int, str]:
-        return dict(self._clos_tenant)
-
-    def tenant_masks(self) -> Dict[str, Tuple[int, ...]]:
-        """Union of LLC ways currently allocated to each labeled tenant."""
-        merged: Dict[str, set] = {}
-        for clos, tenant in self._clos_tenant.items():
-            merged.setdefault(tenant, set()).update(self._masks[clos])
-        return {
-            tenant: tuple(sorted(ways)) for tenant, ways in merged.items()
-        }

@@ -163,7 +163,7 @@ def test_events_log_is_populated():
         ]
     )
     server.run(epochs=8, warmup=2)
-    assert any("reallocate" in e for e in manager.events)
+    assert any(d.action == "reallocate" for d in manager.decisions)
 
 
 def test_policy_flags_reachable_via_variants():

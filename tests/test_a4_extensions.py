@@ -33,7 +33,9 @@ def test_extension_detects_bloating_network_workload():
     assert "net" in manager.bloat_treated
     mask = manager.ways_of("net")
     assert mask == (manager.policy.trash_way,)
-    assert any("DMA bloat" in e for e in manager.events)
+    (treat,) = [d for d in manager.decisions if d.action == "bloat_treat"]
+    assert treat.inputs["workload"] == "net"
+    assert treat.inputs["bloat_rate"] > treat.inputs["net_bloat_thr"]
 
 
 def test_treated_workload_keeps_consuming_from_dca():

@@ -104,6 +104,13 @@ def test_expansion_every_other_epoch_until_leftmost():
             break
     assert manager.layout.lp_left == manager.layout.min_lp_left < initial_left
     assert manager.phase == PHASE_STABLE
+    # One decision per expansion, then the settling and why it happened.
+    expansions = initial_left - manager.layout.min_lp_left
+    actions = [d.action for d in manager.decisions]
+    assert actions == ["reallocate"] + ["expand"] * expansions + ["stable"]
+    stable = manager.decisions[-1]
+    assert stable.reason.startswith("leftmost LP extent reached")
+    assert stable.inputs == {"lp_span": list(manager.layout.lp_span())}
 
 
 def test_expansion_rolls_back_on_t1_violation():
@@ -117,6 +124,19 @@ def test_expansion_rolls_back_on_t1_violation():
     manager.on_epoch(make_sample(4, {"hp": 0.5, "lp": 0.5}))
     assert manager.phase == PHASE_STABLE
     assert manager.layout.lp_left == expanded_left + 1  # rolled back one
+    # The expansion and the settling are decisions; the settling carries
+    # the T1 evidence that stopped expansion.
+    _, expand, stable = manager.decisions
+    assert (expand.epoch, expand.action) == (2, "expand")
+    first, last = expand.inputs["lp_span"]
+    assert first == expanded_left and f"way[{first}:{last}]" in expand.reason
+    assert (stable.epoch, stable.action) == (4, "stable")
+    assert "T1" in stable.reason
+    assert stable.inputs == {
+        "lp_span": [expanded_left + 1, last],
+        "crossed": {"hp": {"baseline_hit_rate": 0.9, "hit_rate": 0.5}},
+        "hpw_llc_hit_thr": manager.policy.hpw_llc_hit_thr,
+    }
 
 
 def test_revert_cycle_and_return_to_stable():

@@ -389,7 +389,7 @@ def test_watchdog_pins_static_layout_and_recovers():
     manager = _drive_to_degraded()
     assert manager.watchdog.degraded
     assert manager.robustness_stats()["degraded_entries"] == 1
-    assert "watchdog" in "".join(manager.events)
+    assert [d.action for d in manager.decisions].count("degraded_enter") == 1
     # The pinned layout is the initial partitions.
     assert manager.layout.lp_left == manager.layout.initial_lp_left
     pinned = manager.ways_of("hp")

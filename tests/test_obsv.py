@@ -1,6 +1,6 @@
-"""Tests for the observability layer: tracer, audit, exporters, the
-stats-dict merge helpers, profiling, the A4 integration, and the
-zero-cost-when-off guarantee."""
+"""Tests for the observability layer: tracer, controller decisions,
+exporters, the stats-dict merge helpers, profiling, the A4 integration,
+and the zero-cost-when-off guarantee."""
 
 from __future__ import annotations
 
@@ -13,12 +13,11 @@ import pytest
 
 from repro import obsv
 from repro.obsv import export
-from repro.obsv.audit import AuditTrail
 from repro.obsv.counts import counts_of, diff_counts, merge_counts
 from repro.obsv.profile import PhaseProfiler
 from repro.obsv.tracer import TraceEvent, Tracer
 
-from tests.test_a4_fsm import FakeServer, FakeWorkload, make_sample
+from tests.test_a4_fsm import FakeServer, FakeWorkload, attach, make_sample
 
 
 # -- tracer -----------------------------------------------------------------
@@ -83,14 +82,13 @@ class TestEnableDisable:
         first.emit(obsv.KIND_FAULT, "f")
         second = obsv.enable()
         assert second is obsv.TRACER and len(second) == 0
-        assert obsv.AUDIT is not None and obsv.AUDIT.tracer is second
         assert obsv.PROFILER is not None
         assert obsv.enabled()
 
     def test_disable_clears_all(self):
         obsv.enable()
         obsv.disable()
-        assert obsv.TRACER is None and obsv.AUDIT is None
+        assert obsv.TRACER is None
         assert obsv.PROFILER is None
         assert not obsv.enabled()
 
@@ -136,41 +134,41 @@ class TestMergeHelpers:
         assert diff_counts(after, before) == {"hits": 3, "misses": 0}
 
 
-# -- audit trail ------------------------------------------------------------
+# -- controller decisions ---------------------------------------------------
 
 
 class TestAuditTrail:
     def test_record_defaults_epoch_from_tracer(self):
-        tracer = Tracer()
+        # A decision is tagged with the index of the sample being handled
+        # (-1 at attach) and mirrored into the tracer as a decision event.
+        tracer = obsv.enable()
+        manager = attach(
+            [FakeWorkload("hp"), FakeWorkload("lp", priority="LPW")]
+        )
         tracer.epoch = 9
-        trail = AuditTrail(tracer=tracer)
-        decision = trail.record("reallocate", "attach")
-        assert decision.epoch == 9
-        # Mirrored into the tracer as a decision event.
-        (event,) = tracer.by_kind(obsv.KIND_DECISION)
-        assert event.name == "reallocate"
-        assert event.data["reason"] == "attach"
+        manager.on_epoch(make_sample(9, {"hp": 0.9, "lp": 0.5}))
+        manager.on_workload_change()
+        assert [(d.epoch, d.action) for d in manager.decisions] == [
+            (-1, "reallocate"),
+            (9, "reallocate"),
+        ]
+        events = tracer.by_kind(obsv.KIND_DECISION)
+        assert [(e.epoch, e.name) for e in events] == [
+            (-1, "reallocate"),
+            (9, "reallocate"),
+        ]
+        assert events[1].data["reason"] == manager.decisions[1].reason
+        assert events[1].data["inputs"] == {"live_workloads": ["hp", "lp"]}
 
     def test_queries_and_explain(self):
-        trail = AuditTrail()
-        trail.record("reallocate", "attach", epoch=0)
-        trail.record(
-            "degraded_enter", "oscillation", {"watchdog": {"window": 12}},
-            epoch=4,
-        )
-        assert len(trail.decisions("reallocate")) == 1
-        assert trail.for_epoch(4)[0].action == "degraded_enter"
-        text = trail.explain(4)
-        assert "degraded_enter" in text and "window: 12" in text
-        assert "no controller decisions" in trail.explain(99)
-
-    def test_bounded_capacity(self):
-        trail = AuditTrail(capacity=2)
-        for i in range(4):
-            trail.record("reallocate", f"r{i}", epoch=i)
-        assert len(trail) == 2
-        assert trail.dropped == 2
-        assert [d.reason for d in trail.decisions()] == ["r2", "r3"]
+        manager = _degraded_manager()
+        (entry,) = [
+            d for d in manager.decisions if d.action == "degraded_enter"
+        ]
+        text = entry.describe()
+        assert text.startswith("[degraded_enter] ")
+        assert f"(epoch {entry.epoch})" in text
+        assert "window: 50" in text
 
 
 # -- exporters --------------------------------------------------------------
@@ -318,26 +316,33 @@ def _degraded_manager(max_epochs: int = 60):
 
 class TestA4Audit:
     def test_attach_audits_reallocation_with_inputs(self):
-        obsv.enable()
-        from tests.test_a4_fsm import attach
-
-        attach([FakeWorkload("hp"), FakeWorkload("lp", priority="LPW")])
-        (decision,) = obsv.AUDIT.decisions("reallocate")
+        manager = attach(
+            [FakeWorkload("hp"), FakeWorkload("lp", priority="LPW")]
+        )
+        (decision,) = manager.decisions
+        assert (decision.epoch, decision.action) == (-1, "reallocate")
         assert decision.reason == "attach"
         assert decision.inputs["workloads"] == ["hp", "lp"]
 
     def test_degraded_entry_records_trigger_evidence(self):
-        obsv.enable()
-        _degraded_manager()
-        entries = obsv.AUDIT.decisions("degraded_enter")
+        tracer = obsv.enable()
+        manager = _degraded_manager()
+        entries = [
+            d for d in manager.decisions if d.action == "degraded_enter"
+        ]
         assert len(entries) == 1
         inputs = entries[0].inputs
         assert inputs["watchdog"]["threshold"] == 2
         assert inputs["reallocations_in_window"] >= 2
         # The T1-crossing evidence that triggered the final reallocation.
         assert "hp" in inputs["trigger_inputs"]["crossed"]
-        # The trail explains the epoch it happened in.
-        assert "degraded_enter" in obsv.AUDIT.explain(entries[0].epoch)
+        # The trace carries the same decision and evidence.
+        (event,) = [
+            e
+            for e in tracer.by_kind(obsv.KIND_DECISION)
+            if e.name == "degraded_enter"
+        ]
+        assert event.data == {"reason": entries[0].reason, "inputs": inputs}
 
     def test_phase_transitions_are_traced(self):
         obsv.enable()
@@ -349,6 +354,8 @@ class TestA4Audit:
         assert obsv.TRACER is None
         manager = _degraded_manager()  # must not raise without a tracer
         assert manager.watchdog.degraded
+        # Decisions are recorded on the manager whether or not tracing is on.
+        assert "degraded_enter" in [d.action for d in manager.decisions]
 
 
 # -- harness integration & zero-cost-off ------------------------------------
@@ -388,6 +395,27 @@ class TestHarnessIntegration:
         again = _small_run()
         assert traced.samples == baseline.samples
         assert again.samples == baseline.samples
+
+    def test_decisions_are_identical_off_and_on_and_in_the_trace(
+        self, obsv_cli, tmp_path
+    ):
+        from repro.experiments.scenarios import build_server, chaos_workloads
+
+        def decisions():
+            server = build_server(chaos_workloads(), scheme="a4", seed=1)
+            server.run(epochs=12)
+            return server.manager.decisions
+
+        off = decisions()
+        assert {"reallocate", "detect_storage", "detect_cpu", "expand"} <= {
+            d.action for d in off
+        }
+        tracer = obsv.enable()
+        assert decisions() == off
+        # The JSONL trace rebuilds the same list, epochs included.
+        path = tmp_path / "trace.jsonl"
+        export.write_jsonl(tracer.events, path)
+        assert obsv_cli._decisions(export.read_jsonl(path)) == off
 
 
 # -- the CLI ----------------------------------------------------------------
@@ -518,13 +546,15 @@ class TestFaultedRuns:
         tracer = obsv.enable()
         run_chaos(1.0, epochs=12, seed=3)
         assert tracer.by_kind(obsv.KIND_FAULT)
-        reallocs = [
-            d for d in obsv.AUDIT.decisions("reallocate") if d.inputs
-        ]
-        assert len(reallocs) == 5
 
         path = tmp_path / "chaos.jsonl"
         export.write_jsonl(tracer.events, path)
+        reallocs = [
+            d
+            for d in obsv_cli._decisions(export.read_jsonl(path))
+            if d.action == "reallocate" and d.inputs
+        ]
+        assert len(reallocs) == 5
         assert obsv_cli.main(
             ["explain-epoch", str(path), "--find", "reallocate"]
         ) == 0

@@ -265,6 +265,31 @@ def test_ioca_partitions_cover_llc():
     assert result.samples
 
 
+def test_ioca_way_moves_are_decisions():
+    from repro import obsv
+    from repro.experiments.tenants import build_tenant_server
+
+    tracer = obsv.enable()
+    server = build_tenant_server(6, scheme="ioca", seed=11)
+    server.run(8)
+    mgr = server.manager
+    assert mgr.adjustments == len(mgr.decisions) > 0
+    for d in mgr.decisions:
+        assert d.action == "ioca_adjust"
+        assert d.inputs["victim"] in d.reason
+        assert d.inputs["score"] > 0
+        assert sum(d.inputs["spans"].values()) == mgr.total_ways
+    assert mgr.decisions[-1].inputs["spans"] == mgr.tenant_spans()
+    # The trace carries each move once, as a decision event.
+    events = tracer.by_kind(obsv.KIND_DECISION)
+    assert [(e.epoch, e.name) for e in events] == [
+        (d.epoch, d.action) for d in mgr.decisions
+    ]
+    assert "ioca_adjust" not in {
+        e.name for e in tracer.by_kind(obsv.KIND_TENANT)
+    }
+
+
 # -- N-tenant generator determinism ----------------------------------------
 
 
